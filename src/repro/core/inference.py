@@ -55,6 +55,7 @@ __all__ = [
     "BatchInferenceResult",
     "NaturalAnnealingEngine",
     "model_fingerprint",
+    "split_nodes",
 ]
 
 logger = logging.getLogger("repro.core")
@@ -85,6 +86,31 @@ def model_fingerprint(model: DSGLModel) -> str:
     fingerprint deterministically).
     """
     return content_fingerprint((model.J, model.h, model.mean, model.scale))
+
+
+def split_nodes(
+    observed_index: np.ndarray,
+    n: int,
+    observed_values: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a clamp set and return ``(observed_index, free_index)``.
+
+    Indices must be in ``[0, n)`` (``-1`` would clamp a node that is also
+    returned as free) and unique (conflicting duplicates keep the last
+    write).  ``observed_values``, when given, needs one value per index.
+    """
+    observed_index = np.asarray(observed_index, dtype=int).reshape(-1)
+    if observed_index.size and (
+        observed_index.min() < 0 or observed_index.max() >= n
+    ):
+        raise ValueError("observed_index out of range")
+    if np.unique(observed_index).size != observed_index.size:
+        raise ValueError("observed_index contains duplicates")
+    if observed_values is not None and (
+        np.shape(observed_values)[-1:] != observed_index.shape
+    ):
+        raise ValueError("observed_values length must match observed_index")
+    return observed_index, np.setdiff1d(np.arange(n), observed_index)
 
 
 @dataclass
@@ -450,22 +476,6 @@ class NaturalAnnealingEngine:
         return reduced
 
     # ------------------------------------------------------------------
-    # Node bookkeeping
-    # ------------------------------------------------------------------
-    def _split_nodes(
-        self, observed_index: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        observed_index = np.asarray(observed_index, dtype=int).reshape(-1)
-        if observed_index.size and (
-            observed_index.min() < 0 or observed_index.max() >= n
-        ):
-            raise ValueError("observed_index out of range")
-        if np.unique(observed_index).size != observed_index.size:
-            raise ValueError("observed_index contains duplicates")
-        free_index = np.setdiff1d(np.arange(n), observed_index)
-        return observed_index, free_index
-
-    # ------------------------------------------------------------------
     # Circuit-simulation paths
     # ------------------------------------------------------------------
     def infer(
@@ -488,10 +498,10 @@ class NaturalAnnealingEngine:
         """
         model = self.model
         n = model.n
-        observed_index, free_index = self._split_nodes(observed_index, n)
         observed_values = np.asarray(observed_values, dtype=float).reshape(-1)
-        if observed_values.shape[0] != observed_index.shape[0]:
-            raise ValueError("observed_values length must match observed_index")
+        observed_index, free_index = split_nodes(
+            observed_index, n, observed_values
+        )
         rng = rng or np.random.default_rng(self.seed)
 
         clamp_value = self._normalized_subset(model, observed_index, observed_values)
@@ -582,7 +592,7 @@ class NaturalAnnealingEngine:
             )
         model = self.model
         n = model.n
-        observed_index, free_index = self._split_nodes(observed_index, n)
+        observed_index, free_index = split_nodes(observed_index, n)
         observed_values = np.asarray(observed_values, dtype=float)
         if observed_values.ndim != 2 or observed_values.shape[1] != observed_index.size:
             raise ValueError(
@@ -665,10 +675,10 @@ class NaturalAnnealingEngine:
         (accuracy sweeps, training loops) only pay a back-substitution.
         """
         model = self.model
-        observed_index, free_index = self._split_nodes(observed_index, model.n)
         observed_values = np.asarray(observed_values, dtype=float).reshape(-1)
-        if observed_values.shape[0] != observed_index.shape[0]:
-            raise ValueError("observed_values length must match observed_index")
+        observed_index, free_index = split_nodes(
+            observed_index, model.n, observed_values
+        )
         clamp_value = self._normalized_subset(model, observed_index, observed_values)
         reduced = self._reduced(observed_index, free_index)
         state = np.zeros(model.n)
@@ -705,7 +715,7 @@ class NaturalAnnealingEngine:
             ascending index order.
         """
         model = self.model
-        observed_index, free_index = self._split_nodes(observed_index, model.n)
+        observed_index, free_index = split_nodes(observed_index, model.n)
         observed_values = np.asarray(observed_values, dtype=float)
         if observed_values.ndim != 2 or observed_values.shape[1] != observed_index.size:
             raise ValueError(

@@ -18,7 +18,13 @@ analog dynamics are *linear*, ``dsigma/dt = A sigma + b`` with constant
 ``A`` and ``b``, so each interval is integrated exactly with the matrix
 exponential — no step-size error regardless of interval length.  The few
 distinct ``A`` matrices (one per live-slice phase) are factored once per
-mapping.
+clamp set and control interval, not once per call.  Each DSPU caches its
+last build in two stages: the per-phase free-node blocks, growth bounds
+and forcing couplings per clamp set (and spatial-only flag), and the
+``expm`` propagators and forcing integrals per clamp set and interval.  A
+latency sweep or a run of prediction windows thus reuses one build.
+Coupler noise and fault injection perturb each call's couplings, so those
+calls build afresh and leave the cache untouched.
 
 Physical timescale: trained parameters are conductances up to an arbitrary
 global scale (scaling ``J`` and ``h`` together leaves the fixed point
@@ -39,6 +45,7 @@ from scipy import sparse as sp
 from scipy.linalg import expm
 
 from .. import obs
+from ..core.inference import split_nodes
 from ..core.operators import select_backend
 from ..decompose.pipeline import DecomposedSystem
 from ..faults.model import NO_FAULTS, FaultScenario, NullFaultScenario
@@ -54,6 +61,9 @@ logger = logging.getLogger("repro.hardware")
 #: ``backend="auto"`` only switches the per-phase matrices to CSR storage
 #: for systems at least this large; small grids gain nothing from sparsity.
 SPARSE_AUTO_MIN_NODES = 128
+
+#: Largest growth exponent of one phase over one control interval.
+GROWTH_CAP = 30.0
 
 
 def _pairs_matrix(
@@ -111,63 +121,94 @@ def _forcing_integral(B: np.ndarray, t: float, phi: np.ndarray) -> np.ndarray:
     return expm(augmented)[:m, m:]
 
 
-def _phase_propagator(
-    B: np.ndarray, interval: float, growth_cap: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact propagator of one switch phase: cap, exponentiate, integrate.
+def _submatrix(A, rows: np.ndarray, cols: np.ndarray):
+    """``A[rows, cols]`` block for dense or CSR storage."""
+    if sp.issparse(A):
+        return A[rows][:, cols]
+    return A[np.ix_(rows, cols)]
 
-    Module-level (rather than a closure in ``_build_propagators``) so the
-    per-phase builds can fan out over worker processes — each phase is
-    independent, and the computation is deterministic, so parallel and
-    serial builds are bit-for-bit identical.
+
+@dataclass(frozen=True)
+class _ClampStage:
+    """Interval-independent half of a propagator build, for one clamp set."""
+
+    blocks: np.ndarray  # (phases, m, m) dense free-node blocks A_p[free, free]
+    bounds: np.ndarray  # top eigenvalue of each block's symmetric part
+    couplings: list  # forcing couplings A_p[free, clamp] of each phase
+
+
+@dataclass(frozen=True)
+class _IntervalStage:
+    """Per-phase ``(phi, integral)`` propagators for one control interval."""
+
+    propagators: list[tuple[np.ndarray, np.ndarray]]
+    rotation_radius: float  # of the capped, undamped rotation map
+    damping_delta: float  # uniform damping applied, per ns; 0.0 if none
+
+
+def _clamp_stage(
+    A_live: list, free: np.ndarray, clamp: np.ndarray
+) -> _ClampStage:
+    """Free-node blocks, growth bounds and forcing couplings of each phase.
+
+    The matrix exponential is inherently dense, so only the reduced
+    free-node block is densified — never the full ``(n, n)`` system.  All
+    growth bounds come from one stacked ``eigvalsh`` call.
     """
-    lam = float(np.max(np.linalg.eigvalsh((B + B.T) / 2.0)))
-    excess = lam - growth_cap / interval
-    if excess > 0:
-        B = B - excess * np.eye(B.shape[0])
-    phi = expm(B * interval)
-    integral = _forcing_integral(B, interval, phi)
-    return phi, integral, B
+    blocks = np.empty((len(A_live), free.size, free.size))
+    for p, A in enumerate(A_live):
+        block = _submatrix(A, free, free)
+        blocks[p] = block.toarray() if sp.issparse(block) else block
+    symmetric = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+    # ``initial`` only matters for an empty free set (no eigenvalues).
+    bounds = np.linalg.eigvalsh(symmetric).max(axis=1, initial=-np.inf)
+    couplings = [_submatrix(A, free, clamp) for A in A_live]
+    return _ClampStage(blocks, bounds, couplings)
 
 
-def _phase_propagator_damped(
-    B_capped: np.ndarray, interval: float, delta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rebuild one phase propagator under uniform damping ``delta``."""
-    B = B_capped - delta * np.eye(B_capped.shape[0])
-    phi = expm(B * interval)
-    integral = _forcing_integral(B, interval, phi)
-    return phi, integral, B
+def _interval_stage(stage: _ClampStage, interval: float) -> _IntervalStage:
+    """Exact per-phase propagators with a rotation-level stability guard.
 
+    Individual duty-boosted phases may be transiently unstable; what
+    must contract is the *rotation map* — the product of the phase
+    propagators, whose time-average equals the trained (convex)
+    dynamics.  Damping is therefore applied in two bias-minimizing
+    steps: (i) a per-phase cap that only prevents numerical overflow
+    within one interval, and (ii) a *uniform* damping conductance, the
+    minimum that brings the rotation's spectral radius to 0.99.  Uniform
+    damping shifts every phase equally, so the bias on the averaged
+    dynamics is the smallest that stabilizes the orbit (and is zero
+    whenever the rotation already contracts).
 
-def _phase_propagator_shm(
-    blocks_shared, index: int, interval: float, growth_cap: float, out
-) -> None:
-    """Shared-memory task wrapper around :func:`_phase_propagator`.
-
-    Reads phase ``index``'s free-node block from the shared stack and
-    writes ``(phi, integral, B_capped)`` into row ``index`` of the output
-    slab — the task pickles two descriptors instead of three dense
-    ``(m, m)`` matrices each way.
+    The forcing integrals are computed once, for the final matrices.
+    Work is grouped by library (every ``expm``, then numpy) because numpy
+    and scipy each bundle an OpenBLAS, and interleaving calls into the
+    two thread pools costs several times the arithmetic (EXPERIMENTS.md).
     """
-    phi, integral, B = _phase_propagator(
-        blocks_shared.array[index], interval, growth_cap
-    )
-    out.array[index, 0] = phi
-    out.array[index, 1] = integral
-    out.array[index, 2] = B
-
-
-def _phase_propagator_damped_shm(
-    index: int, interval: float, delta: float, out
-) -> None:
-    """Damped rebuild reading the capped ``B`` back from the output slab."""
-    phi, integral, B = _phase_propagator_damped(
-        out.array[index, 2].copy(), interval, delta
-    )
-    out.array[index, 0] = phi
-    out.array[index, 1] = integral
-    out.array[index, 2] = B
+    phases, m, _m = stage.blocks.shape
+    if m == 0:
+        empty = np.zeros((0, 0))
+        return _IntervalStage([(empty, empty)] * phases, 0.0, 0.0)
+    identity = np.eye(m)
+    capped = []
+    for B, bound in zip(stage.blocks, stage.bounds):
+        excess = bound - GROWTH_CAP / interval
+        capped.append(B - excess * identity if excess > 0 else B)
+    phis = [expm(B * interval) for B in capped]
+    rotation = identity
+    for phi in phis:
+        rotation = phi @ rotation
+    radius = float(np.max(np.abs(np.linalg.eigvals(rotation))))
+    delta = 0.0
+    if radius >= 0.999:
+        delta = float(np.log(radius / 0.99) / (interval * phases))
+        capped = [B - delta * identity for B in capped]
+        phis = [expm(B * interval) for B in capped]
+    propagators = [
+        (phi, _forcing_integral(B, interval, phi))
+        for B, phi in zip(capped, phis)
+    ]
+    return _IntervalStage(propagators, radius, delta)
 
 
 @dataclass
@@ -215,6 +256,9 @@ class ScalableDSPU:
             ``"sparse"`` (CSR), or ``"auto"``, which picks sparse for
             large low-density decompositions so every switch phase avoids
             holding (and multiplying) an ``(n, n)`` dense matrix.
+
+    The DSPU caches its last clamp-set and interval propagator builds
+    (see the module docstring); pickling drops them.
     """
 
     def __init__(
@@ -299,6 +343,14 @@ class ScalableDSPU:
             self._A_inter_phase.append(_pairs_matrix(live, n, sparse))
             self._A_inter_boosted.append(_pairs_matrix(boosted, n, sparse))
         self._A_inter_total = _store(np.where(inter_mask, self._A, 0.0))
+        # (key, stage) of the last noise-free, fault-free build per stage.
+        self._clamp_slot = self._interval_slot = (None, None)
+
+    def __getstate__(self) -> dict:
+        # Pool tasks carry the mapping, not its cached per-phase matrices.
+        state = self.__dict__.copy()
+        state["_clamp_slot"] = state["_interval_slot"] = (None, None)
+        return state
 
     # ------------------------------------------------------------------
     # Introspection
@@ -334,7 +386,6 @@ class ScalableDSPU:
         force_spatial_only: bool = False,
         record_energy: bool = False,
         faults: FaultScenario | NullFaultScenario = NO_FAULTS,
-        workers: int | None = 1,
         early_exit: bool = False,
         settle_tolerance: float = 1e-4,
         settle_patience: int = 2,
@@ -352,9 +403,13 @@ class ScalableDSPU:
         The reported state is the average over the last full rotation
         (ripple filtering).
 
+        The ``dspu.anneal`` span's ``propagators`` attribute records
+        whether the cached propagator builds were reused.
+
         Args:
-            observed_index: Clamped (observed) node indices.
-            observed_values: Raw-domain observed values.
+            observed_index: Clamped (observed) node indices: in range and
+                duplicate-free.
+            observed_values: Raw-domain observed values, one per index.
             duration_ns: Requested annealing time.  Digital control
                 quantizes it to whole control intervals, rounding *up*, so
                 the realized ``latency_ns`` is the smallest whole number
@@ -379,10 +434,6 @@ class ScalableDSPU:
                 missed sync events stall the Switch-in-turn rotation.  The
                 default null scenario adds no work and leaves results
                 bit-for-bit unchanged.
-            workers: Worker processes for the per-phase propagator build
-                (the per-PE fan-out; see :meth:`_build_propagators`).
-                Deterministic, so any value — including the default
-                serial 1 — yields bit-for-bit identical outcomes.
             early_exit: Stop annealing once the rotation orbit has
                 settled.  Settling is judged over *full rotations* (every
                 ``num_phases`` control intervals): the inf-norm change of
@@ -426,9 +477,8 @@ class ScalableDSPU:
             raise ValueError("sync interval must be positive")
         rng = rng or np.random.default_rng(self.seed)
 
-        observed_index = np.asarray(observed_index, dtype=int).reshape(-1)
         observed_values = np.asarray(observed_values, dtype=float).reshape(-1)
-        free = np.setdiff1d(np.arange(n), observed_index)
+        observed_index, free = split_nodes(observed_index, n, observed_values)
         clamp = self._normalize_subset(observed_index, observed_values)
 
         # Stuck-at-rail nodes are driven capacitors: exact within the
@@ -460,34 +510,6 @@ class ScalableDSPU:
             coupler_noise = (factor + factor.T) / 2.0
 
         num_phases = 1 if force_spatial_only else max(1, self.num_phases)
-        inter_source = (
-            [self._A_inter_phase[0]]
-            if force_spatial_only
-            else self._A_inter_boosted
-        )
-        A_local_base = faults.apply_coupling(self._A_local)
-        A_live: list = []
-        for A_s in inter_source:
-            A_s = faults.apply_coupling(A_s)
-            if coupler_noise is not None:
-                if sp.issparse(A_s):
-                    A_s = A_s.multiply(coupler_noise).tocsr()
-                else:
-                    A_s = A_s * coupler_noise
-            A_local = A_local_base
-            if coupler_noise is not None:
-                # The self-reaction resistor is inside the node, not a
-                # coupler; its conductance keeps the nominal value.
-                if sp.issparse(A_local):
-                    off = A_local.multiply(coupler_noise).tolil()
-                    off.setdiag(A_local.diagonal())
-                    A_local = off.tocsr()
-                else:
-                    off = A_local * coupler_noise
-                    np.fill_diagonal(off, np.diag(A_local_base))
-                    A_local = off
-            A_live.append(A_local + A_s)
-
         mode = (
             "spatial"
             if (force_spatial_only or self.mode == "spatial")
@@ -508,22 +530,23 @@ class ScalableDSPU:
                 obs.tracer().event(
                     "faults.injected", where="dspu", **faults.summary()
                 )
-            with obs.metrics().timer("dspu.build_propagators_ms"):
-                propagators = self._build_propagators(
-                    A_live, free_dyn, interval, workers=workers
-                )
+            clamp_stage, interval_stage, source = self._propagators(
+                observed_index, free_dyn, clamp_index, interval,
+                force_spatial_only, faults, coupler_noise,
+            )
+            span.set("propagators", source)
+            span.set("rotation_radius", interval_stage.rotation_radius)
+            span.set("damping_delta", interval_stage.damping_delta)
+            propagators = interval_stage.propagators
             # The clamped-node forcing of each phase is constant across the
             # whole run, so it is computed once instead of per interval.
             forcing = [
-                np.asarray(
-                    self._submatrix(A, free_dyn, clamp_index) @ clamp_value
-                )
-                for A in A_live
+                np.asarray(coupling @ clamp_value)
+                for coupling in clamp_stage.couplings
             ]
 
             def propagate(phase: int, state: np.ndarray) -> np.ndarray:
-                phi, integral, A_ff_damped = propagators[phase]
-                del A_ff_damped
+                phi, integral = propagators[phase]
                 out = state.copy()
                 out[free_dyn] = (
                     phi @ state[free_dyn] + integral @ forcing[phase]
@@ -633,9 +656,11 @@ class ScalableDSPU:
                 span.set("early_exit_intervals", intervals_done)
             logger.debug(
                 "dspu anneal: mode=%s intervals=%d phases_completed=%d "
-                "latency=%.0fns",
+                "latency=%.0fns propagators=%s rotation_radius=%.4f "
+                "damping_delta=%.3e",
                 mode, intervals_done, phases_completed,
-                intervals_done * interval,
+                intervals_done * interval, source,
+                interval_stage.rotation_radius, interval_stage.damping_delta,
             )
         return AnnealingOutcome(
             prediction=prediction,
@@ -648,145 +673,84 @@ class ScalableDSPU:
             exited_early=exited_early,
         )
 
-    @staticmethod
-    def _submatrix(A, rows: np.ndarray, cols: np.ndarray):
-        """``A[rows, cols]`` block for dense or CSR storage."""
-        if sp.issparse(A):
-            return A[rows][:, cols]
-        return A[np.ix_(rows, cols)]
-
-    def _build_propagators(
+    def _propagators(
         self,
-        A_live: list,
+        observed_index: np.ndarray,
         free: np.ndarray,
+        clamp_index: np.ndarray,
         interval: float,
-        growth_cap: float = 30.0,
-        workers: int | None = 1,
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Exact per-phase propagators with a rotation-level stability guard.
+        force_spatial_only: bool,
+        faults: FaultScenario | NullFaultScenario,
+        coupler_noise: np.ndarray | None,
+    ) -> tuple[_ClampStage, _IntervalStage, str]:
+        """Both propagator stages of one call, through the cache slots.
 
-        Individual duty-boosted phases may be transiently unstable; what
-        must contract is the *rotation map* — the product of the phase
-        propagators, whose time-average equals the trained (convex)
-        dynamics.  Damping is therefore applied in two bias-minimizing
-        steps: (i) a per-phase cap that only prevents numerical overflow
-        within one interval, and (ii) a *uniform* damping conductance, the
-        minimum that makes the rotation product contract.  Uniform damping
-        shifts every phase equally, so the bias on the averaged dynamics
-        is the smallest that stabilizes the orbit (and is zero whenever
-        the rotation is already contractive).
-
-        Each phase's eigen-bound/``expm``/forcing-integral build is
-        independent — the per-PE work of the mesh — so with ``workers > 1``
-        the phases fan out over a process pool (deterministic math, so the
-        result is bit-for-bit identical to a serial build).  The rotation
-        product (step ii) needs every phase and stays a barrier.
+        Returns the two stages and where they came from: ``"hit"`` (both
+        slots matched), ``"interval"`` (the clamp-set slot matched and the
+        interval stage was rebuilt), ``"built"`` (both rebuilt), or
+        ``"bypass"`` (perturbed couplings: both built, slots untouched).
         """
-        if free.size == 0:
-            identity = np.zeros((0, 0))
-            return [(identity, identity, identity) for _ in A_live]
-
-        from ..parallel.pool import parallel_map
-        from ..parallel.shm import shm_available
-
-        # The matrix exponential is inherently dense, so only the reduced
-        # free-node block is densified — never the full (n, n) system.
-        blocks = []
-        for A in A_live:
-            block = self._submatrix(A, free, free)
-            blocks.append(block.toarray() if sp.issparse(block) else block)
-
-        use_shm = (
-            workers is not None
-            and workers > 1
-            and len(blocks) > 1
-            and shm_available()
-        )
-        if use_shm:
-            return self._build_propagators_shm(
-                blocks, interval, growth_cap, workers, parallel_map
-            )
-
-        # Step 1: per-phase growth cap + exact propagator, one task each.
-        propagators = parallel_map(
-            _phase_propagator,
-            [(B, interval, growth_cap) for B in blocks],
-            workers,
-        )
-        # Step 2: uniform damping until the rotation map contracts.
-        delta = self._rotation_damping(propagators, interval)
-        if delta is not None:
-            propagators = parallel_map(
-                _phase_propagator_damped,
-                [(B, interval, delta) for _phi, _integral, B in propagators],
-                workers,
-            )
-        return propagators
-
-    @staticmethod
-    def _rotation_damping(propagators, interval: float) -> float | None:
-        """Uniform damping needed to contract the rotation map, if any."""
-        m = propagators[0][0].shape[0]
-        rotation = np.eye(m)
-        for phi, _integral, _B in propagators:
-            rotation = phi @ rotation
-        radius = float(np.max(np.abs(np.linalg.eigvals(rotation))))
-        if radius < 0.999:
-            return None
-        total_time = interval * len(propagators)
-        delta = np.log(radius / 0.99) / total_time
-        logger.debug(
-            "rotation map radius %.4f >= 0.999; applying uniform "
-            "damping delta=%.3e", radius, delta,
-        )
-        return delta
-
-    def _build_propagators_shm(
-        self,
-        blocks: list[np.ndarray],
-        interval: float,
-        growth_cap: float,
-        workers: int,
-        parallel_map,
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Shared-memory variant of the per-phase propagator fan-out.
-
-        The phase blocks travel once (one shared stack) instead of once
-        per task, and each worker writes its ``(phi, integral, B)`` into a
-        shared slab instead of returning three pickled dense matrices.
-        Same :func:`_phase_propagator` math, so bits are unchanged.
-        """
-        from ..parallel.shm import SharedArena
-
-        p = len(blocks)
-        m = blocks[0].shape[0]
-        with SharedArena(tag="dspu") as arena:
-            blocks_shared = arena.share(np.stack(blocks))
-            out = arena.empty((p, 3, m, m))
-            parallel_map(
-                _phase_propagator_shm,
-                [
-                    (blocks_shared, i, interval, growth_cap, out)
-                    for i in range(p)
-                ],
-                workers,
-            )
-            propagators = [
-                tuple(out.array[i, j].copy() for j in range(3))
-                for i in range(p)
-            ]
-            delta = self._rotation_damping(propagators, interval)
-            if delta is not None:
-                parallel_map(
-                    _phase_propagator_damped_shm,
-                    [(i, interval, delta, out) for i in range(p)],
-                    workers,
+        registry = obs.metrics()
+        cacheable = coupler_noise is None and not faults.enabled
+        clamp_key = (observed_index.tobytes(), force_spatial_only)
+        interval_key = (clamp_key, interval)
+        # The interval slot is always refilled together with the clamp-set
+        # slot, so a matching interval key implies a matching clamp key.
+        if cacheable and self._interval_slot[0] == interval_key:
+            registry.counter("dspu.propagator_hits").inc()
+            return self._clamp_slot[1], self._interval_slot[1], "hit"
+        with registry.timer("dspu.build_propagators_ms"):
+            if cacheable and self._clamp_slot[0] == clamp_key:
+                clamp_stage, source = self._clamp_slot[1], "interval"
+            else:
+                A_live = self._live_matrices(
+                    force_spatial_only, faults, coupler_noise
                 )
-                propagators = [
-                    tuple(out.array[i, j].copy() for j in range(3))
-                    for i in range(p)
-                ]
-        return propagators
+                clamp_stage = _clamp_stage(A_live, free, clamp_index)
+                source = "built" if cacheable else "bypass"
+            interval_stage = _interval_stage(clamp_stage, interval)
+        if cacheable:
+            self._clamp_slot = (clamp_key, clamp_stage)
+            self._interval_slot = (interval_key, interval_stage)
+        registry.counter("dspu.propagator_builds").inc()
+        if interval_stage.damping_delta:
+            registry.counter("dspu.damped_builds").inc()
+        return clamp_stage, interval_stage, source
+
+    def _live_matrices(
+        self,
+        force_spatial_only: bool,
+        faults: FaultScenario | NullFaultScenario,
+        coupler_noise: np.ndarray | None,
+    ) -> list:
+        """Live dynamics matrix of each switch phase, as programmed."""
+        inter_source = (
+            [self._A_inter_phase[0]]
+            if force_spatial_only
+            else self._A_inter_boosted
+        )
+        A_local = faults.apply_coupling(self._A_local)
+        if coupler_noise is not None:
+            # The self-reaction resistor is inside the node, not a
+            # coupler; its conductance keeps the nominal value.
+            if sp.issparse(A_local):
+                off = A_local.multiply(coupler_noise).tolil()
+                off.setdiag(A_local.diagonal())
+                A_local = off.tocsr()
+            else:
+                off = A_local * coupler_noise
+                np.fill_diagonal(off, np.diag(A_local))
+                A_local = off
+        A_live: list = []
+        for A_s in inter_source:
+            A_s = faults.apply_coupling(A_s)
+            if coupler_noise is not None:
+                if sp.issparse(A_s):
+                    A_s = A_s.multiply(coupler_noise).tocsr()
+                else:
+                    A_s = A_s * coupler_noise
+            A_live.append(A_local + A_s)
+        return A_live
 
     # ------------------------------------------------------------------
     # Normalization helpers

@@ -168,6 +168,20 @@ def _adaptive_path_lines(counters: dict) -> list[str]:
     return lines
 
 
+def _propagator_cache_line(counters: dict) -> list[str]:
+    """Share of DSPU anneal calls that reused cached propagators."""
+    hits = counters.get("dspu.propagator_hits") or 0
+    builds = counters.get("dspu.propagator_builds") or 0
+    if not hits + builds:
+        return []
+    damped = counters.get("dspu.damped_builds") or 0
+    return [
+        f"DSPU propagators: {100.0 * hits / (hits + builds):.1f}% of anneal "
+        f"calls served from cache ({hits} hits, {builds} builds, "
+        f"{damped} damped)"
+    ]
+
+
 def _cache_hit_rate(counters: dict) -> float | None:
     hits = counters.get("engine.cache_hits")
     misses = counters.get("engine.cache_misses")
@@ -232,9 +246,10 @@ def format_metrics(snapshot: dict) -> str:
 
     Appends derived lines when their counters are present: the LU-cache
     hit rate, the shared-memory transport summary (bytes shared vs bytes
-    pickled, attach/detach balance), mesh halo-exchange volume, and the
+    pickled, attach/detach balance), mesh halo-exchange volume, the
     annealing-path efficiency of adaptive/early-exit integrations
-    (member-step savings, step acceptance rate).
+    (member-step savings, step acceptance rate), and the DSPU
+    propagator-cache hit rate.
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []
@@ -269,6 +284,7 @@ def format_metrics(snapshot: dict) -> str:
         derived.append(f"LU-cache hit rate: {100.0 * rate:.1f}%")
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
+    derived.extend(_propagator_cache_line(counters))
     if derived:
         lines.append("")
         lines.extend(derived)

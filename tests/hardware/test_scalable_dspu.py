@@ -9,7 +9,12 @@ from repro.core.model import DSGLModel
 from repro.decompose.pipeline import DecomposedSystem, DecompositionConfig
 from repro.decompose.redistribute import PlacementResult
 from repro.hardware import HardwareConfig, ScalableDSPU
-from repro.hardware.scalable_dspu import _forcing_integral, _pairs_matrix
+from repro.hardware.scalable_dspu import (
+    _clamp_stage,
+    _forcing_integral,
+    _interval_stage,
+    _pairs_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +199,27 @@ class TestAnnealing:
                 sync_interval_ns=0.0,
             )
 
+    def test_rejects_negative_observed_index(self, dspu):
+        """Regression: ``-1`` clamped node n-1 and still returned it as a
+        free prediction."""
+        with pytest.raises(ValueError, match="out of range"):
+            dspu.anneal(np.array([-1, 0]), np.zeros(2), duration_ns=200.0)
+
+    def test_rejects_duplicate_observed_index(self, dspu):
+        """Regression: conflicting values for one node kept the last."""
+        with pytest.raises(ValueError, match="duplicates"):
+            dspu.anneal(
+                np.array([3, 3]), np.array([0.1, 0.9]), duration_ns=200.0
+            )
+
+    def test_rejects_observed_values_length_mismatch(
+        self, dspu, traffic_setup
+    ):
+        """Regression: one value was broadcast over every clamped node."""
+        tw = traffic_setup["windowing"]
+        with pytest.raises(ValueError, match="length"):
+            dspu.anneal(tw.observed_index, np.array([0.5]), duration_ns=200.0)
+
 
 class TestEnergyTrace:
     def test_trace_recorded_and_descending_overall(self, dspu, traffic_setup):
@@ -325,17 +351,17 @@ class TestSingularPropagators:
         expected = np.linalg.solve(B, phi - np.eye(5))
         assert np.allclose(_forcing_integral(B, t, phi), expected, atol=1e-12)
 
-    def test_build_propagators_handle_singular_free_block(self, dspu):
+    def test_build_propagators_handle_singular_free_block(self):
         B = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        propagators = dspu._build_propagators([B], np.array([0, 1]), 1.0)
-        phi, integral, _damped = propagators[0]
+        stage = _clamp_stage([B], np.array([0, 1]), np.zeros(0, dtype=int))
+        ((phi, integral),) = _interval_stage(stage, 1.0).propagators
         assert np.isfinite(phi).all()
         assert np.isfinite(integral).all()
 
     def test_anneal_with_singular_dynamics(self):
         """Regression: a mapping whose free-node block is exactly singular
         (here J12 = |h|, a realistic trained configuration) crashed
-        ``_build_propagators`` with ``LinAlgError: Singular matrix``."""
+        the propagator build with ``LinAlgError: Singular matrix``."""
         J = np.array([[0.0, 1.0], [1.0, 0.0]])
         model = DSGLModel(J=J, h=np.array([-1.0, -1.0]))
         placement = PlacementResult(

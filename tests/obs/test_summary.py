@@ -117,3 +117,26 @@ class TestFormatting:
         )
         assert "member-steps" not in text
         assert "adaptive steps" not in text
+
+    def test_format_metrics_propagator_cache_line(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "dspu.propagator_hits": 9,
+                    "dspu.propagator_builds": 3,
+                    "dspu.damped_builds": 2,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        assert (
+            "DSPU propagators: 75.0% of anneal calls served from cache "
+            "(9 hits, 3 builds, 2 damped)"
+        ) in text
+
+    def test_format_metrics_without_anneals_has_no_propagator_line(self):
+        text = format_metrics(
+            {"counters": {"circuit.steps": 100}, "gauges": {}, "histograms": {}}
+        )
+        assert "DSPU propagators" not in text

@@ -1,7 +1,7 @@
 """Serial↔parallel equivalence: ``workers=N`` must equal ``workers=1`` bit
 for bit at every layer that fans out — circuit batches, engine inference,
-restart policies, DSPU propagator builds, hardware evaluation, and the
-fault sweep.  Every comparison below uses exact equality, not allclose.
+restart policies, hardware evaluation, and the fault sweep.  Every
+comparison below uses exact equality, not allclose.
 """
 
 import numpy as np
@@ -135,20 +135,6 @@ class TestRestartPolicy:
 
 
 class TestHardwareLayers:
-    def test_dspu_anneal_workers_match(self, traffic_dspu, traffic_setup):
-        windowing = traffic_setup["windowing"]
-        series = traffic_setup["test"].flat_series()
-        t = windowing.prediction_frames(series)[0]
-        history = windowing.history_of(series, t)
-        serial = traffic_dspu.anneal(
-            windowing.observed_index, history, duration_ns=2000.0, workers=1
-        )
-        pooled = traffic_dspu.anneal(
-            windowing.observed_index, history, duration_ns=2000.0, workers=2
-        )
-        assert np.array_equal(serial.prediction, pooled.prediction)
-        assert np.array_equal(serial.state, pooled.state)
-
     def test_evaluate_hardware_matches_legacy(
         self, traffic_dspu, traffic_setup
     ):
