@@ -80,9 +80,9 @@ class IntegrationConfig:
             garbage trajectory.  ``0`` (default) disables the guard —
             the polarization analysis runs unrailed and must be allowed
             to observe divergence.
-        adaptive: Error-controlled variable-step integration.  ``False``
-            (default) keeps the fixed-``dt`` loop bit-for-bit identical
-            to the historical path.  ``True`` treats ``dt`` as the
+        adaptive: The step policy of the integration loop.  ``False``
+            (default) takes ``round(duration / dt)`` steps of exactly
+            ``dt`` (at least one).  ``True`` treats ``dt`` as the
             *initial* step and adjusts it per step from an embedded
             error estimate — a Heun/Euler pair for ``method="euler"``,
             step-doubling for ``method="rk4"`` — under a PI step-size
@@ -97,16 +97,16 @@ class IntegrationConfig:
         dt_max: Largest step the controller may take.  ``None`` means
             ``100 * dt`` (never exceeding the run duration).
         early_exit: Per-member settling freeze-out for ``run`` /
-            ``run_batch``.  Every ``settle_check_every`` steps, a batch
-            member whose state moved less than ``settle_tolerance``
-            (infinity norm, same criterion as
-            :meth:`Trajectory.settled`) over ``settle_patience``
-            consecutive check windows is *frozen*: it leaves the active
-            batch (so it stops costing matvecs — the batch shrinks) and
-            holds its state for the rest of the run.  When every member
-            freezes the run exits early.  A run in which no member
-            settles early is bit-for-bit identical to
-            ``early_exit=False``.
+            ``run_batch``, under either step policy.  Every
+            ``settle_check_every`` accepted steps, a batch member whose
+            state moved less than ``settle_tolerance`` (infinity norm,
+            same criterion as :meth:`Trajectory.settled`) over
+            ``settle_patience`` consecutive check windows is *frozen*:
+            it leaves the active batch (so it stops costing matvecs —
+            the batch shrinks) and holds its state for the rest of the
+            run.  The step that freezes the last member is recorded and
+            ends the run.  Until a member freezes, the run steps exactly
+            as with ``early_exit=False``.
         settle_tolerance: Infinity-norm state-change threshold (in state
             units) under which a member counts as settled.
         settle_check_every: Integration steps between settling checks.
@@ -342,6 +342,28 @@ class BatchTrajectory:
         return float(np.mean(deviations <= tolerance))
 
 
+def fixed_step_count(duration: float, dt: float) -> int:
+    """Steps the fixed-``dt`` policy takes over ``duration`` (at least one).
+
+    The single statement of the rule: the shared-memory result slabs of
+    :mod:`repro.parallel.circuit` and the mesh integrator size themselves
+    from it too.
+    """
+    return max(1, int(round(duration / dt)))
+
+
+def check_node_index(index: np.ndarray, n: int, name: str) -> None:
+    """Reject node indices outside ``[0, n)`` or repeated.
+
+    ``-1`` would address the last node, and a repeated clamp index would
+    silently keep only its last value.
+    """
+    if index.size and (index.min() < 0 or index.max() >= n):
+        raise ValueError(f"{name} out of range")
+    if np.unique(index).size != index.size:
+        raise ValueError(f"{name} contains duplicates")
+
+
 @dataclass
 class CircuitSimulator:
     """Explicit integrator of the DSPU / BRIM node ODEs.
@@ -529,23 +551,21 @@ class CircuitSimulator:
         # and freeze-out counters the tune CLI and `repro obs summarize`
         # derive schedule efficiency from.  Zero-valued entries are not
         # recorded so fixed-schedule traces are unchanged.
-        if stats.get("rejected_steps"):
+        if stats["rejected_steps"]:
             registry.counter("circuit.rejected_steps").inc(
                 stats["rejected_steps"]
             )
             span.set("rejected_steps", stats["rejected_steps"])
-        if stats.get("member_steps") is not None and (
-            self.config.adaptive or self.config.early_exit
-        ):
+        if self.config.adaptive or self.config.early_exit:
             registry.counter("circuit.member_steps").inc(
                 stats["member_steps"]
             )
-        if stats.get("frozen_members"):
+        if stats["frozen_members"]:
             registry.counter("circuit.frozen_members").inc(
                 stats["frozen_members"]
             )
             span.set("frozen_members", stats["frozen_members"])
-        if stats.get("exited_early"):
+        if stats["exited_early"]:
             registry.counter("circuit.early_exits").inc()
             span.set("early_exit_t_ns", stats["final_time"])
         logger.debug(
@@ -610,7 +630,7 @@ class CircuitSimulator:
         if clamp_index is None:
             clamp_index = np.zeros(0, dtype=int)
             clamp_value = np.zeros(0)
-        clamp_index = np.asarray(clamp_index, dtype=int)
+        clamp_index = np.asarray(clamp_index, dtype=int).reshape(-1)
         clamp_value = np.asarray(clamp_value, dtype=float)
         if batch is not None and clamp_value.ndim == 2:
             if clamp_value.shape != (batch, clamp_index.size):
@@ -624,10 +644,7 @@ class CircuitSimulator:
                 raise ValueError(
                     "clamp_index and clamp_value must have equal shapes"
                 )
-        if clamp_index.size and (
-            clamp_index.min() < 0 or clamp_index.max() >= n
-        ):
-            raise ValueError("clamp_index out of range")
+        check_node_index(clamp_index, n, "clamp_index")
         return clamp_index, clamp_value
 
     def _integrate(
@@ -641,23 +658,23 @@ class CircuitSimulator:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """Vectorized Euler/RK4 loop over a ``(batch, n)`` state matrix.
 
-        Dispatches on the config: the default fixed-``dt`` loop below is
-        the historical path and stays bit-for-bit untouched;
-        ``adaptive=True`` routes to :meth:`_integrate_adaptive` and
-        ``early_exit=True`` (without ``adaptive``) to
-        :meth:`_integrate_early_exit`.  All three return
-        ``(times, states, energies, stats)`` where ``stats`` carries the
-        step/rejection/freeze-out accounting of :meth:`_observe_run`.
+        Two settings of the config shape the run:
+
+        * the step policy: :func:`fixed_step_count` steps of ``dt``, or
+          (``adaptive``) a PI-controlled step that rejects and retries a
+          trial whose embedded error estimate exceeds the tolerance.  The
+          batch shares one step size that follows the *worst* member's
+          error, so every step stays one batched drift evaluation;
+        * the freeze-out (``early_exit``): a member whose state stopped
+          moving leaves the active slice, so later steps run on a smaller
+          ``(active, n)`` matrix, and holds its state.  The run ends at
+          the step that freezes the last member.
+
+        Every accepted step applies drift, noise, then rails and clamps.
+        Returns ``(times, states, energies, stats)``; ``stats`` carries the
+        step, rejection and freeze-out counts of :meth:`_observe_run`.
         """
         cfg = self.config
-        if cfg.adaptive:
-            return self._integrate_adaptive(
-                drift, sigma, duration, clamp_index, clamp_value, energy
-            )
-        if cfg.early_exit:
-            return self._integrate_early_exit(
-                drift, sigma, duration, clamp_index, clamp_value, energy
-            )
         batch = sigma.shape[0]
 
         # Energy-descent probe: only live when tracing is on AND an energy
@@ -669,128 +686,24 @@ class CircuitSimulator:
             if (cfg.energy_probe_every and energy is not None and tracer.enabled)
             else 0
         )
-
         check_every = cfg.divergence_check_every
-        n_steps = max(1, int(round(duration / cfg.dt)))
-        times = [0.0]
-        states = [sigma.copy()]
-        energies = [
-            np.asarray(energy(sigma), dtype=float)
-            if energy is not None
-            else np.zeros(batch)
-        ]
-
         inv_c = 1.0 / cfg.capacitance
-        for step in range(1, n_steps + 1):
-            if cfg.method == "euler":
-                delta = cfg.dt * inv_c * drift(sigma)
-            else:  # rk4 — every intermediate stage is rail- and clamp-projected
-                k1 = drift(sigma)
-                k2 = drift(self._project(sigma + 0.5 * cfg.dt * inv_c * k1, clamp_index, clamp_value))
-                k3 = drift(self._project(sigma + 0.5 * cfg.dt * inv_c * k2, clamp_index, clamp_value))
-                k4 = drift(self._project(sigma + cfg.dt * inv_c * k3, clamp_index, clamp_value))
-                delta = cfg.dt * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            sigma = sigma + delta
-            if cfg.node_noise_std > 0:
-                scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
-                # Thermal/shot noise enters through the same capacitor the
-                # signal does, so it accumulates per step like the drift.
-                sigma = sigma + self.rng.normal(
-                    0.0, scale * np.sqrt(cfg.dt), size=sigma.shape
-                )
-            # Clamps are re-asserted *after* noise injection: the observed
-            # capacitors are driven, so noise cannot displace them.
-            sigma = self._project(sigma, clamp_index, clamp_value)
-            if check_every and (step % check_every == 0 or step == n_steps):
-                check_finite(sigma, "circuit", step, step * cfg.dt)
-            if probe_every and (step % probe_every == 0 or step == n_steps):
-                values = np.asarray(energy(sigma), dtype=float)
-                tracer.event(
-                    "circuit.energy_probe",
-                    step=step,
-                    t_ns=step * cfg.dt,
-                    energy_mean=float(values.mean()),
-                    energy_min=float(values.min()),
-                    energy_max=float(values.max()),
-                )
-            if step % cfg.record_every == 0 or step == n_steps:
-                times.append(step * cfg.dt)
-                states.append(sigma.copy())
-                energies.append(
-                    np.asarray(energy(sigma), dtype=float)
-                    if energy is not None
-                    else np.zeros(batch)
-                )
-
-        stats = {
-            "steps": n_steps,
-            "rejected_steps": 0,
-            "member_steps": n_steps * batch,
-            "frozen_members": 0,
-            "exited_early": False,
-            "final_time": n_steps * cfg.dt,
-        }
-        return np.asarray(times), np.asarray(states), np.asarray(energies), stats
-
-    # ------------------------------------------------------------------
-    # Early-exit settling (fixed dt)
-    # ------------------------------------------------------------------
-    def _advance_fixed(self, state, drift, dt, clamp_index, clamp_value):
-        """One fixed-``dt`` step, expression-for-expression identical to
-        the legacy loop (drift, noise, projection — in that order), so
-        the early-exit path is bit-for-bit equal to the historical one
-        while every batch member is still active."""
-        cfg = self.config
-        inv_c = 1.0 / cfg.capacitance
-        if cfg.method == "euler":
-            delta = dt * inv_c * drift(state)
-        else:  # rk4 — every intermediate stage is rail- and clamp-projected
-            k1 = drift(state)
-            k2 = drift(self._project(state + 0.5 * dt * inv_c * k1, clamp_index, clamp_value))
-            k3 = drift(self._project(state + 0.5 * dt * inv_c * k2, clamp_index, clamp_value))
-            k4 = drift(self._project(state + dt * inv_c * k3, clamp_index, clamp_value))
-            delta = dt * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        state = state + delta
-        if cfg.node_noise_std > 0:
-            scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
-            state = state + self.rng.normal(
-                0.0, scale * np.sqrt(dt), size=state.shape
-            )
-        return self._project(state, clamp_index, clamp_value)
-
-    def _integrate_early_exit(
-        self,
-        drift,
-        sigma: np.ndarray,
-        duration: float,
-        clamp_index: np.ndarray,
-        clamp_value: np.ndarray,
-        energy,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Fixed-``dt`` loop with vectorized per-member freeze-out.
-
-        Members whose state stopped moving (the :meth:`Trajectory.settled`
-        criterion, checked every ``settle_check_every`` steps over
-        ``settle_patience`` consecutive windows) are *frozen*: they leave
-        the active batch — so each remaining step's drift evaluation runs
-        on a shrinking ``(active, n)`` slice — and hold their state.  When
-        every member freezes the loop exits and the trajectory ends early.
-
-        While all members are active the arithmetic (including the noise
-        stream) is identical to the legacy loop, so a run in which no
-        member settles early returns bit-for-bit identical states.
-        """
-        cfg = self.config
-        batch = sigma.shape[0]
-        tracer = obs.tracer()
-        probe_every = (
-            cfg.energy_probe_every
-            if (cfg.energy_probe_every and energy is not None and tracer.enabled)
-            else 0
-        )
-        check_every = cfg.divergence_check_every
-        n_steps = max(1, int(round(duration / cfg.dt)))
         per_sample = clamp_value.ndim == 2
+        noise_scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
+        if cfg.adaptive:
+            dt_min = cfg.resolved_dt_min()
+            dt_max = cfg.resolved_dt_max(duration)
+            horizon = duration * (1.0 - 1e-12)
+            # Controller order: the Heun/Euler pair estimates an O(dt^2)
+            # local error, RK4 step-doubling an O(dt^5) one.
+            order = 2.0 if cfg.method == "euler" else 5.0
+            safety, fac_min, fac_max = 0.9, 0.2, 5.0
+            kp, ki = 0.4 / order, 0.7 / order  # Gustafsson PI gains
+            dt = min(max(cfg.dt, dt_min), dt_max)
+            err_prev = 1.0
+        else:
+            dt = cfg.dt
+            n_steps = fixed_step_count(duration, dt)
 
         def record_energy() -> np.ndarray:
             return (
@@ -806,82 +719,125 @@ class CircuitSimulator:
         active = np.arange(batch)
         streak = np.zeros(batch, dtype=int)
         reference = sigma.copy()
-        frozen_members = 0
-        member_steps = 0
-        exited_at: float | None = None
-        for step in range(1, n_steps + 1):
-            if active.size == batch:
-                sigma = self._advance_fixed(
-                    sigma, drift, cfg.dt, clamp_index, clamp_value
+        step = rejected = member_steps = frozen_members = 0
+        t = 0.0
+        exited = False
+        # A zero-length adaptive run takes no step; a fixed one takes one.
+        done = cfg.adaptive and not t < horizon
+        while not done:
+            full = active.size == batch
+            state = sigma if full else sigma[active]
+            cvals = (
+                clamp_value[active] if (per_sample and not full)
+                else clamp_value
+            )
+            if cfg.adaptive:
+                dt = min(dt, duration - t)
+                proposal, err = self._adaptive_trial(
+                    drift, state, dt, inv_c, clamp_index, cvals
                 )
+                if err > 1.0 and dt > dt_min * (1.0 + 1e-9):
+                    rejected += 1
+                    shrink = max(fac_min, safety * err ** (-1.0 / order))
+                    dt = max(dt_min, dt * min(shrink, 1.0))
+                    continue
+            elif cfg.method == "euler":
+                proposal = state + dt * inv_c * drift(state)
             else:
-                sub_clamp = (
-                    clamp_value[active] if per_sample else clamp_value
+                proposal = self._rk4(drift, state, dt, inv_c, clamp_index, cvals)
+            if cfg.node_noise_std > 0:
+                # Thermal/shot noise enters through the same capacitor the
+                # signal does, so it accumulates per step like the drift.
+                proposal = proposal + self.rng.normal(
+                    0.0, noise_scale * np.sqrt(dt), size=proposal.shape
                 )
-                sigma[active] = self._advance_fixed(
-                    sigma[active], drift, cfg.dt, clamp_index, sub_clamp
-                )
+            # Clamps are re-asserted *after* noise injection: the observed
+            # capacitors are driven, so noise cannot displace them.
+            proposal = self._project(proposal, clamp_index, cvals)
+            if full:
+                sigma = proposal
+            else:
+                sigma[active] = proposal
+            step += 1
             member_steps += int(active.size)
-            if check_every and (step % check_every == 0 or step == n_steps):
-                check_finite(sigma, "circuit", step, step * cfg.dt)
-            if probe_every and (step % probe_every == 0 or step == n_steps):
+            if cfg.adaptive:
+                t += dt
+                bounded_err = max(err, 1e-10)
+                factor = safety * bounded_err ** (-ki) * err_prev ** kp
+                factor = min(fac_max, max(fac_min, factor))
+                dt = min(dt_max, max(dt_min, dt * factor))
+                err_prev = bounded_err
+                done = t >= horizon
+            else:
+                t = step * dt
+                done = step == n_steps
+            if check_every and (step % check_every == 0 or done):
+                check_finite(sigma, "circuit", step, t)
+            if probe_every and (step % probe_every == 0 or done):
                 values = np.asarray(energy(sigma), dtype=float)
                 tracer.event(
                     "circuit.energy_probe",
                     step=step,
-                    t_ns=step * cfg.dt,
+                    t_ns=t,
                     energy_mean=float(values.mean()),
                     energy_min=float(values.min()),
                     energy_max=float(values.max()),
                 )
-            if step % cfg.settle_check_every == 0 and active.size:
+            if (
+                cfg.early_exit
+                and step % cfg.settle_check_every == 0
+                and active.size
+            ):
+                # Freeze members that moved less than the tolerance (the
+                # Trajectory.settled criterion) over settle_patience
+                # consecutive check windows.
                 moved = np.max(
                     np.abs(sigma[active] - reference[active]), axis=1
                 )
                 under = moved <= cfg.settle_tolerance
                 streak[active] = np.where(under, streak[active] + 1, 0)
                 keep = streak[active] < cfg.settle_patience
-                newly_frozen = int(active.size - keep.sum())
-                if newly_frozen:
-                    frozen_members += newly_frozen
-                    active = active[keep]
+                frozen_members += int(active.size - keep.sum())
+                active = active[keep]
                 reference = sigma.copy()
-            record = step % cfg.record_every == 0 or step == n_steps
-            if active.size == 0:
-                exited_at = step * cfg.dt
-                record = True
-            if record:
-                times.append(step * cfg.dt)
+            exited = cfg.early_exit and active.size == 0
+            if step % cfg.record_every == 0 or done or exited:
+                times.append(t)
                 states.append(sigma.copy())
                 energies.append(record_energy())
-            if exited_at is not None:
-                break
+            done = done or exited
 
         stats = {
-            "steps": int(round(times[-1] / cfg.dt)),
-            "rejected_steps": 0,
+            "steps": step,
+            "rejected_steps": rejected,
             "member_steps": member_steps,
             "frozen_members": frozen_members,
-            "exited_early": exited_at is not None,
+            "exited_early": exited,
             "final_time": float(times[-1]),
         }
         return np.asarray(times), np.asarray(states), np.asarray(energies), stats
 
-    # ------------------------------------------------------------------
-    # Error-controlled variable-step integration
-    # ------------------------------------------------------------------
+    def _rk4(self, drift, y, h, inv_c, clamp_index, clamp_value) -> np.ndarray:
+        """One classical RK4 step of size ``h``.  Every intermediate stage
+        is rail- and clamp-projected; the result is not."""
+        k1 = drift(y)
+        k2 = drift(self._project(y + 0.5 * h * inv_c * k1, clamp_index, clamp_value))
+        k3 = drift(self._project(y + 0.5 * h * inv_c * k2, clamp_index, clamp_value))
+        k4 = drift(self._project(y + h * inv_c * k3, clamp_index, clamp_value))
+        return y + h * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
     def _adaptive_trial(
         self, drift, state, dt, inv_c, clamp_index, clamp_value
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, float]:
         """One trial step of the embedded pair at step size ``dt``.
 
-        Returns ``(proposal, err_per_member)`` where ``proposal`` is the
-        higher-order solution *before* noise injection and projection and
-        ``err_per_member`` is the scaled local-error estimate
-        (``<= 1`` accepts).  ``method="euler"`` uses the Heun/Euler
-        embedded pair (advance 2nd order, estimate 1st); ``method="rk4"``
-        uses step-doubling (advance with two half steps, estimate from
-        the full-step difference).
+        Returns ``(proposal, err)`` where ``proposal`` is the higher-order
+        solution *before* noise injection and projection and ``err`` is
+        the worst member's scaled local-error estimate (``<= 1``
+        accepts).  ``method="euler"`` uses the Heun/Euler embedded pair
+        (advance 2nd order, estimate 1st); ``method="rk4"`` uses
+        step-doubling (advance with two half steps, estimate from the
+        full-step difference).
         """
         cfg = self.config
         if cfg.method == "euler":
@@ -891,16 +847,12 @@ class CircuitSimulator:
             proposal = state + 0.5 * dt * inv_c * (k1 + k2)
             err_vec = proposal - euler
         else:
-            def rk4(y, h):
-                k1 = drift(y)
-                k2 = drift(self._project(y + 0.5 * h * inv_c * k1, clamp_index, clamp_value))
-                k3 = drift(self._project(y + 0.5 * h * inv_c * k2, clamp_index, clamp_value))
-                k4 = drift(self._project(y + h * inv_c * k3, clamp_index, clamp_value))
-                return y + h * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-
-            coarse = rk4(state, dt)
-            half = self._project(rk4(state, 0.5 * dt), clamp_index, clamp_value)
-            proposal = rk4(half, 0.5 * dt)
+            args = (inv_c, clamp_index, clamp_value)
+            coarse = self._rk4(drift, state, dt, *args)
+            half = self._project(
+                self._rk4(drift, state, 0.5 * dt, *args), clamp_index, clamp_value
+            )
+            proposal = self._rk4(drift, half, 0.5 * dt, *args)
             err_vec = proposal - coarse
         if clamp_index.size:
             # Clamped coordinates are overwritten by the projection after
@@ -910,153 +862,8 @@ class CircuitSimulator:
         scale = cfg.atol + cfg.rtol * np.maximum(
             np.abs(state), np.abs(proposal)
         )
-        err = np.max(np.abs(err_vec) / scale, axis=-1)
-        return proposal, np.atleast_1d(err)
-
-    def _integrate_adaptive(
-        self,
-        drift,
-        sigma: np.ndarray,
-        duration: float,
-        clamp_index: np.ndarray,
-        clamp_value: np.ndarray,
-        energy,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Variable-step loop under a PI step-size controller.
-
-        The whole batch shares one step size (so every step still costs a
-        single batched drift evaluation); the controller follows the
-        *worst* member's scaled error.  Steps whose error exceeds 1 are
-        rejected and retried smaller, except at ``dt_min`` where progress
-        beats stalling (railed dynamics cannot blow up).  Early-exit
-        freeze-out composes with the controller: settled members leave
-        the active slice exactly as in :meth:`_integrate_early_exit`.
-        """
-        cfg = self.config
-        batch = sigma.shape[0]
-        tracer = obs.tracer()
-        probe_every = (
-            cfg.energy_probe_every
-            if (cfg.energy_probe_every and energy is not None and tracer.enabled)
-            else 0
-        )
-        check_every = cfg.divergence_check_every
-        dt_min = cfg.resolved_dt_min()
-        dt_max = cfg.resolved_dt_max(duration)
-        inv_c = 1.0 / cfg.capacitance
-        per_sample = clamp_value.ndim == 2
-        # Controller order: the Heun/Euler pair estimates an O(dt^2)
-        # local error, RK4 step-doubling an O(dt^5) one.
-        order = 2.0 if cfg.method == "euler" else 5.0
-        safety, fac_min, fac_max = 0.9, 0.2, 5.0
-        kp, ki = 0.4 / order, 0.7 / order  # Gustafsson PI gains
-
-        def record_energy() -> np.ndarray:
-            return (
-                np.asarray(energy(sigma), dtype=float)
-                if energy is not None
-                else np.zeros(batch)
-            )
-
-        times = [0.0]
-        states = [sigma.copy()]
-        energies = [record_energy()]
-
-        active = np.arange(batch)
-        streak = np.zeros(batch, dtype=int)
-        reference = sigma.copy()
-        frozen_members = 0
-        member_steps = 0
-        accepted = 0
-        rejected = 0
-        exited_at: float | None = None
-        t = 0.0
-        dt = min(max(cfg.dt, dt_min), dt_max)
-        err_prev = 1.0
-        while t < duration * (1.0 - 1e-12):
-            dt = min(dt, duration - t)
-            full = active.size == batch
-            state = sigma if full else sigma[active]
-            cvals = (
-                clamp_value if (full or not per_sample)
-                else clamp_value[active]
-            )
-            proposal, err_members = self._adaptive_trial(
-                drift, state, dt, inv_c, clamp_index, cvals
-            )
-            err = float(err_members.max()) if err_members.size else 0.0
-            if err > 1.0 and dt > dt_min * (1.0 + 1e-9):
-                rejected += 1
-                shrink = max(fac_min, safety * err ** (-1.0 / order))
-                dt = max(dt_min, dt * min(shrink, 1.0))
-                continue
-            if cfg.node_noise_std > 0:
-                scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
-                proposal = proposal + self.rng.normal(
-                    0.0, scale * np.sqrt(dt), size=proposal.shape
-                )
-            proposal = self._project(proposal, clamp_index, cvals)
-            if full:
-                sigma = proposal
-            else:
-                sigma[active] = proposal
-            accepted += 1
-            member_steps += int(active.size)
-            t += dt
-            bounded_err = max(err, 1e-10)
-            factor = safety * bounded_err ** (-ki) * err_prev ** kp
-            factor = min(fac_max, max(fac_min, factor))
-            dt = min(dt_max, max(dt_min, dt * factor))
-            err_prev = bounded_err
-            final = t >= duration * (1.0 - 1e-12)
-            if check_every and (accepted % check_every == 0 or final):
-                check_finite(sigma, "circuit", accepted, t)
-            if probe_every and (accepted % probe_every == 0 or final):
-                values = np.asarray(energy(sigma), dtype=float)
-                tracer.event(
-                    "circuit.energy_probe",
-                    step=accepted,
-                    t_ns=t,
-                    energy_mean=float(values.mean()),
-                    energy_min=float(values.min()),
-                    energy_max=float(values.max()),
-                )
-            if (
-                cfg.early_exit
-                and accepted % cfg.settle_check_every == 0
-                and active.size
-            ):
-                moved = np.max(
-                    np.abs(sigma[active] - reference[active]), axis=1
-                )
-                under = moved <= cfg.settle_tolerance
-                streak[active] = np.where(under, streak[active] + 1, 0)
-                keep = streak[active] < cfg.settle_patience
-                newly_frozen = int(active.size - keep.sum())
-                if newly_frozen:
-                    frozen_members += newly_frozen
-                    active = active[keep]
-                reference = sigma.copy()
-            record = accepted % cfg.record_every == 0 or final
-            if cfg.early_exit and active.size == 0:
-                exited_at = t
-                record = True
-            if record:
-                times.append(t)
-                states.append(sigma.copy())
-                energies.append(record_energy())
-            if exited_at is not None:
-                break
-
-        stats = {
-            "steps": accepted,
-            "rejected_steps": rejected,
-            "member_steps": member_steps,
-            "frozen_members": frozen_members,
-            "exited_early": exited_at is not None,
-            "final_time": float(times[-1]),
-        }
-        return np.asarray(times), np.asarray(states), np.asarray(energies), stats
+        ratio = np.abs(err_vec) / scale
+        return proposal, float(ratio.max()) if ratio.size else 0.0
 
     def _project(
         self,

@@ -40,6 +40,7 @@ from .dynamics import (
     CircuitSimulator,
     IntegrationConfig,
     Trajectory,
+    check_node_index,
 )
 from .fingerprint import content_fingerprint
 from .model import DSGLModel
@@ -100,12 +101,7 @@ def split_nodes(
     write).  ``observed_values``, when given, needs one value per index.
     """
     observed_index = np.asarray(observed_index, dtype=int).reshape(-1)
-    if observed_index.size and (
-        observed_index.min() < 0 or observed_index.max() >= n
-    ):
-        raise ValueError("observed_index out of range")
-    if np.unique(observed_index).size != observed_index.size:
-        raise ValueError("observed_index contains duplicates")
+    check_node_index(observed_index, n, "observed_index")
     if observed_values is not None and (
         np.shape(observed_values)[-1:] != observed_index.shape
     ):

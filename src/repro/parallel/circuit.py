@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..core.dynamics import BatchTrajectory
+from ..core.dynamics import BatchTrajectory, fixed_step_count
 from .pool import parallel_map, resolve_num_shards, shard_slices, spawn_seeds
 from .shm import SharedArena, maybe_share_method, shm_available
 
@@ -26,16 +26,17 @@ __all__ = ["expected_record_count", "run_batch_sharded", "shard_task_bytes"]
 def expected_record_count(config, duration: float) -> int:
     """How many frames :meth:`CircuitSimulator._integrate` will record.
 
-    Mirrors the integrator's recording rule exactly — the initial state,
-    then every ``record_every``-th step plus the final step — so the
-    shared-memory path can preallocate result slabs of the right height
-    before any worker runs.
+    Mirrors the loop's recording rule under the fixed step policy — the
+    initial state, then every ``record_every``-th of the
+    :func:`~repro.core.dynamics.fixed_step_count` steps plus the final
+    one — so the shared-memory path can preallocate result slabs of the
+    right height before any worker runs.
 
-    Only valid for the fixed-step integrator: adaptive step control and
-    early-exit settling record a data-dependent number of frames, so
-    callers must not preallocate for such configs (see
-    :func:`run_batch_sharded`, which falls back to the legacy transport
-    and a two-frame reassembly for them).
+    Only valid without adaptive steps or early-exit freeze-out: those
+    record a data-dependent number of frames, so callers must not
+    preallocate for such configs (see :func:`run_batch_sharded`, which
+    falls back to the legacy transport and a two-frame reassembly for
+    them).
     """
     if getattr(config, "adaptive", False) or getattr(config, "early_exit", False):
         raise ValueError(
@@ -43,7 +44,7 @@ def expected_record_count(config, duration: float) -> int:
             "integration; expected_record_count only applies to fixed-step "
             "configs"
         )
-    n_steps = max(1, int(round(duration / config.dt)))
+    n_steps = fixed_step_count(duration, config.dt)
     count = 1 + n_steps // config.record_every
     if n_steps % config.record_every:
         count += 1

@@ -44,6 +44,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .. import obs
+from ..core.dynamics import CircuitSimulator, fixed_step_count
 from ..decompose.community import louvain_communities
 from .pool import (
     DEFAULT_SHARDS,
@@ -377,12 +378,12 @@ def anneal_mesh(
         J: Coupling matrix, dense or sparse ``(n, n)`` (stored as CSR).
         h: ``(n,)`` self-reaction vector.
         sigma0: ``(n,)`` initial state.
-        duration: Total simulated time; steps mirror the circuit
-            integrator's ``max(1, round(duration / dt))`` rule.
+        duration: Total simulated time; the step count is the circuit
+            integrator's :func:`~repro.core.dynamics.fixed_step_count`.
         dt / capacitance / rail: Euler step, node capacitance, and rail
             clip (``rail=None`` disables clipping).
-        clamp_index / clamp_value: Held (observed) nodes, as in the
-            circuit simulator (shared values only).
+        clamp_index / clamp_value: Held (observed) nodes, validated as in
+            the circuit simulator (shared values only).
         partition: A precomputed :class:`MeshPartition`; default is
             ``partition_mesh(J, shards)``.
         shards: Shard count when partitioning here (ignored with an
@@ -420,17 +421,9 @@ def anneal_mesh(
             f"sigma0 and h must have length {n}, got "
             f"{sigma0.shape[0]} and {h.shape[0]}"
         )
-    if (clamp_index is None) != (clamp_value is None):
-        raise ValueError("clamp_index and clamp_value must be given together")
-    if clamp_index is not None:
-        clamp_index = np.asarray(clamp_index, dtype=int).reshape(-1)
-        clamp_value = np.asarray(clamp_value, dtype=float).reshape(-1)
-        if clamp_index.shape != clamp_value.shape:
-            raise ValueError("clamp_index and clamp_value must have equal shapes")
-        if clamp_index.size and (
-            clamp_index.min() < 0 or clamp_index.max() >= n
-        ):
-            raise ValueError("clamp_index out of range")
+    clamp_index, clamp_value = CircuitSimulator._check_clamps(
+        n, clamp_index, clamp_value
+    )
     if partition is None:
         partition = partition_mesh(
             csr, DEFAULT_SHARDS if shards is None else shards
@@ -440,13 +433,12 @@ def anneal_mesh(
             f"partition covers {partition.n} nodes, mesh has {n}"
         )
 
-    n_steps = max(1, int(round(duration / dt)))
+    n_steps = fixed_step_count(duration, dt)
     rounds = -(-n_steps // exchange_every)  # ceil
     dt_over_c = dt / capacitance
 
     state = sigma0.copy()
-    if clamp_index is not None:
-        state[clamp_index] = clamp_value
+    state[clamp_index] = clamp_value
 
     perm = np.concatenate(partition.groups)
     boundaries = np.cumsum([0] + [g.size for g in partition.groups])
@@ -464,7 +456,7 @@ def anneal_mesh(
         h_shared = arena.share(h)
         perm_shared = arena.share(perm)
         clamp_shared = None
-        if clamp_index is not None and clamp_index.size:
+        if clamp_index.size:
             clamp_shared = (arena.share(clamp_index), arena.share(clamp_value))
         buffers = [arena.empty((n,)), arena.empty((n,))]
         buffers[0].array[...] = state

@@ -2,9 +2,9 @@
 
 Two properties anchor the suite: the adaptive path must land within its
 error tolerance of a tight fixed-step reference, and the fixed-step
-default path must stay bit-for-bit identical whether or not the new
-machinery is armed (early-exit with an unreachable tolerance exercises
-the freeze-out code without ever freezing anyone).
+default path must stay bit-for-bit identical to a plain reference loop
+whether or not the freeze-out is armed (early-exit with an unreachable
+tolerance exercises the freeze-out code without ever freezing anyone).
 """
 
 import numpy as np
@@ -150,7 +150,89 @@ class TestAdaptiveAccuracy:
 
 class TestFixedPathBitwisePreserved:
     """Arming early-exit with an unreachable tolerance must not change a
-    single output bit versus the plain fixed-step path."""
+    single output bit versus the plain fixed-step path, and both must
+    match a plain fixed-step loop written out here, independently of the
+    simulator."""
+
+    @staticmethod
+    def _reference_loop(config, rng, drift, sigma0, duration, clamp_index,
+                        clamp_value, energy):
+        """Drift, noise, rail clip, then clamps; RK4 stages projected."""
+        dt, inv_c = config.dt, 1.0 / config.capacitance
+
+        def project(state):
+            if config.rail is not None:
+                state = np.clip(state, -config.rail, config.rail)
+            state = state.copy()
+            state[:, clamp_index] = clamp_value
+            return state
+
+        sigma = np.array(sigma0, dtype=float)
+        sigma[:, clamp_index] = clamp_value
+        n_steps = max(1, round(duration / dt))
+        times, states, energies = [0.0], [sigma.copy()], [energy(sigma)]
+        for step in range(1, n_steps + 1):
+            if config.method == "euler":
+                sigma = sigma + dt * inv_c * drift(sigma)
+            else:
+                k1 = drift(sigma)
+                k2 = drift(project(sigma + 0.5 * dt * inv_c * k1))
+                k3 = drift(project(sigma + 0.5 * dt * inv_c * k2))
+                k4 = drift(project(sigma + dt * inv_c * k3))
+                sigma = sigma + dt * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            if config.node_noise_std > 0:
+                scale = config.node_noise_std * (config.rail or 1.0)
+                sigma = sigma + rng.normal(
+                    0.0, scale * np.sqrt(dt), size=sigma.shape
+                )
+            sigma = project(sigma)
+            if step % config.record_every == 0 or step == n_steps:
+                times.append(step * dt)
+                states.append(sigma.copy())
+                energies.append(energy(sigma))
+        return np.asarray(times), np.asarray(states), np.asarray(energies)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    @pytest.mark.parametrize("rail", [1.0, None])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_matches_reference_loop(
+        self, method, noise, per_sample, rail, record_every
+    ):
+        ham = _system(seed=54)
+        clamp_index = np.asarray([1, 4])
+        clamp_value = (
+            np.asarray([[0.2, -0.8], [0.9, 0.0], [-0.3, 0.5]])
+            if per_sample else np.asarray([0.2, -0.8])
+        )
+        sigma0 = np.random.default_rng(55).uniform(-1, 1, size=(3, 6))
+
+        def energy(states):
+            return -np.sum(states * (states @ ham.J), axis=1) - (
+                states * states
+            ) @ ham.h
+
+        base = dict(
+            dt=0.05, method=method, node_noise_std=noise, rail=rail,
+            record_every=record_every,
+        )
+        # 40 steps: with record_every=3 the final step is an extra frame.
+        times, states, energies = self._reference_loop(
+            IntegrationConfig(**base), np.random.default_rng(56),
+            _batch_drift(ham), sigma0, 2.0, clamp_index, clamp_value, energy,
+        )
+        for armed in ({}, dict(early_exit=True, settle_tolerance=1e-300)):
+            run = CircuitSimulator(
+                IntegrationConfig(**base, **armed),
+                rng=np.random.default_rng(56),
+            ).run_batch(
+                _batch_drift(ham), sigma0, 2.0, clamp_index, clamp_value,
+                energy,
+            )
+            assert np.array_equal(run.times, times)
+            assert np.array_equal(run.states, states)
+            assert np.array_equal(run.energies, energies)
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("noise", [0.0, 0.1])

@@ -149,6 +149,12 @@ class TestCircuitSimulator:
             sim.run(lambda s: -s, np.zeros(4), 1.0, np.asarray([0]), np.zeros(2))
         with pytest.raises(ValueError, match="out of range"):
             sim.run(lambda s: -s, np.zeros(4), 1.0, np.asarray([9]), np.zeros(1))
+        # A repeated index would silently hold the node at its last value.
+        with pytest.raises(ValueError, match="duplicates"):
+            sim.run(
+                lambda s: -s, np.zeros(4), 1.0,
+                np.asarray([1, 1]), np.asarray([0.9, -0.4]),
+            )
 
     def test_perturbed_coupling_symmetric(self):
         sim = CircuitSimulator(IntegrationConfig(coupling_noise_std=0.1))
@@ -248,6 +254,14 @@ class TestBatchedIntegration:
                 1.0,
                 np.asarray([0]),
                 np.zeros((2, 1)),
+            )
+        with pytest.raises(ValueError, match="duplicates"):
+            sim.run_batch(
+                lambda s: -s,
+                np.zeros((2, 6)),
+                1.0,
+                np.asarray([1, 1]),
+                np.asarray([[0.9, -0.4], [0.1, 0.2]]),
             )
 
 

@@ -224,6 +224,19 @@ class TestApproximateMode:
         assert np.max(np.abs(result.state - global_reference)) < 0.1
 
 
+class TestClampValidation:
+    def test_rejects_duplicate_clamp_indices(self, mesh_problem):
+        # Shared clamp validation with the circuit simulator: a repeated
+        # index would silently hold the node at its last value.
+        with pytest.raises(ValueError, match="duplicates"):
+            anneal_mesh(
+                mesh_problem["J"], mesh_problem["h"],
+                mesh_problem["sigma0"], 2.0, dt=0.05,
+                clamp_index=np.array([5, 5]),
+                clamp_value=np.array([0.9, -0.4]),
+            )
+
+
 @pytest.mark.skipif(
     not shm_available(), reason="named shared memory unavailable"
 )
