@@ -49,11 +49,18 @@ PATH`` (continuous sampling profiler, collapsed-stack output; see
 ``--profile-interval``/``--profile-timer``), and ``-v``/``-q`` (console
 log verbosity through the stdlib ``repro.*`` loggers).
 
-Commands that shard annealing work (``train``, ``table``, ``figure``,
-``bench``, ``faults sweep``) also accept ``--workers N`` to fan it out
-over N worker processes via :mod:`repro.parallel` — results are
-bit-for-bit identical for any worker count (seed-deterministic
-sharding), so ``--workers`` is purely a wall-clock knob.
+``train``, ``bench`` and ``tune`` also accept ``--workers N``, which
+fans their sharded annealing work out over N worker processes via
+:mod:`repro.parallel`:
+
+* ``train`` runs the circuit check through sharded ``infer_batch``;
+* ``bench`` sets the worker count of the serial-vs-parallel rows;
+* ``tune`` sets the worker count of the ``--shard-counts`` candidates.
+
+Results are bit-for-bit identical for every N >= 1 (seed-deterministic
+sharding), but not identical to a run without the flag: the flag
+switches ``infer_batch`` from one random stream for the whole batch to
+per-shard seeding, so ``train``'s circuit-check RMSE can change.
 """
 
 from __future__ import annotations
@@ -166,8 +173,9 @@ def _parallel_options() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="fan annealing work out over N worker processes "
-        "(seed-deterministic: any N gives bit-for-bit identical results)",
+        help="fan sharded annealing work out over N worker processes; "
+        "every N >= 1 gives bit-for-bit identical results, but sharding "
+        "seeds per shard, so they can differ from a run without the flag",
     )
     return common
 
@@ -218,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     decompose_cmd.add_argument("--grid", type=int, nargs=2, default=(3, 3))
 
     table = sub.add_parser(
-        "table", help="regenerate a paper table", parents=[common, parallel]
+        "table", help="regenerate a paper table", parents=[common]
     )
     table.add_argument("number", type=int, choices=(1, 2, 3, 4))
     table.add_argument("--size", default="small", choices=("small", "paper"))
 
     figure = sub.add_parser(
-        "figure", help="regenerate a paper figure", parents=[common, parallel]
+        "figure", help="regenerate a paper figure", parents=[common]
     )
     figure.add_argument("number", type=int, choices=(4, 10, 11, 12, 13))
     figure.add_argument("--size", default="small", choices=("small", "paper"))
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = faults_sub.add_parser(
         "sweep",
         help="accuracy vs device-fault rate on the Scalable DSPU",
-        parents=[common, parallel],
+        parents=[common],
     )
     sweep.add_argument(
         "--dataset",
@@ -743,7 +751,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.number == 1:
         print(format_table1(table1_data()))
         return 0
-    context = ExperimentContext(size=args.size, workers=args.workers)
+    context = ExperimentContext(size=args.size)
     if args.number == 2:
         print(format_table2(table2_data(context)))
     elif args.number == 3:
@@ -759,7 +767,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print("DSPU final:", np.round(data["dspu_final"], 3))
         print("BRIM final:", np.round(data["brim_final"], 3))
         return 0
-    context = ExperimentContext(size=args.size, workers=args.workers)
+    context = ExperimentContext(size=args.size)
     if args.number == 10:
         print(format_density_sweep(fig10_data(context)))
     elif args.number == 11:
@@ -815,7 +823,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         trials=args.trials,
         include_sync_skips=not args.no_sync_skips,
         seed=args.seed,
-        workers=args.workers,
     )
     print(format_fault_sweep(data))
     if args.json:

@@ -32,25 +32,23 @@ def _sweep_trial(
     dspu,
     windowing,
     series: np.ndarray,
-    n: int,
     rate: float,
     trial: int,
     seed: int,
     include_sync_skips: bool,
     duration_ns: float,
     max_windows: int,
-) -> tuple:
-    """One (rate, trial) cell of the sweep grid, self-contained.
+) -> tuple[float | None, dict | None]:
+    """Evaluate one (rate, trial) cell of the sweep grid.
 
-    Samples the scenario from ``(seed, trial)`` and evaluates it, so the
-    cell is a pure function of its arguments — the parallel sweep runs
-    these in any order and reassembles results deterministically.
-    Divergence is reported in-band (a raising task would abort the pool).
+    Trial ``k`` samples its scenario from ``seed + k`` at every rate.
+    Returns the cell's RMSE (``None`` when the anneal diverged) and the
+    scenario summary (``None`` after trial 0, which alone is reported).
     """
     model = FaultModel.uniform(rate, seed=seed + trial)
     if include_sync_skips:
         model = dataclasses.replace(model, sync_skip_rate=rate)
-    scenario = model.sample(n, J=dspu.model.J)
+    scenario = model.sample(dspu.model.n, J=dspu.model.J)
     summary = scenario.summary() if trial == 0 else None
     try:
         value = evaluate_hardware(
@@ -61,9 +59,9 @@ def _sweep_trial(
             max_windows=max_windows,
             faults=scenario,
         )
-        return value, False, summary
     except DivergenceError:
-        return None, True, summary
+        value = None
+    return value, summary
 
 
 def fault_sweep_data(
@@ -77,7 +75,6 @@ def fault_sweep_data(
     trials: int = 1,
     include_sync_skips: bool = True,
     seed: int = 0,
-    workers: int | None = None,
 ) -> dict:
     """RMSE vs uniform device-fault rate per dataset.
 
@@ -86,11 +83,6 @@ def fault_sweep_data(
     A design point whose every trial diverges reports ``NaN`` RMSE — the
     divergence guard turned a garbage trajectory into a counted failure,
     which is itself a datapoint.
-
-    Each ``(rate, trial)`` cell is an independent deterministic
-    computation, so with ``workers`` set the whole grid fans out over a
-    process pool; the assembled payload is bit-for-bit identical to the
-    serial sweep (pinned by ``tests/parallel/``).
 
     Returns:
         ``{dataset: {"fault_rates", "rmse", "diverged", "scenarios",
@@ -112,49 +104,24 @@ def fault_sweep_data(
         trained = context.dense(name)
         dspu = context.dspu(name, density, pattern)
         series = trained.test.flat_series()
-        n = dspu.model.n
-        cells: list[tuple]
-        if workers is None:
-            cells = [
-                _sweep_trial(
-                    dspu, trained.windowing, series, n, rate, trial, seed,
-                    include_sync_skips, duration_ns, max_windows,
-                )
-                for rate in fault_rates
-                for trial in range(trials)
-            ]
-        else:
-            from ..parallel.pool import parallel_map
-
-            tasks = [
-                (
-                    dspu, trained.windowing, series, n, rate, trial, seed,
-                    include_sync_skips, duration_ns, max_windows,
-                )
-                for rate in fault_rates
-                for trial in range(trials)
-            ]
-            cells = parallel_map(_sweep_trial, tasks, workers)
         rmse_row: list[float] = []
         diverged_row: list[int] = []
         summaries: list[dict] = []
-        cursor = 0
-        for _rate in fault_rates:
+        for rate in fault_rates:
             values: list[float] = []
-            diverged = 0
-            for _trial in range(trials):
-                value, did_diverge, summary = cells[cursor]
-                cursor += 1
+            for trial in range(trials):
+                value, summary = _sweep_trial(
+                    dspu, trained.windowing, series, rate, trial, seed,
+                    include_sync_skips, duration_ns, max_windows,
+                )
                 if summary is not None:
                     summaries.append(summary)
-                if did_diverge:
-                    diverged += 1
-                else:
+                if value is not None:
                     values.append(value)
             rmse_row.append(
                 float(np.mean(values)) if values else float("nan")
             )
-            diverged_row.append(diverged)
+            diverged_row.append(trials - len(values))
         out[name] = {
             "fault_rates": list(fault_rates),
             "rmse": rmse_row,

@@ -143,7 +143,6 @@ def fig11_data(
                 evaluate_hardware(
                     dspu, trained.windowing, series, duration_ns=t,
                     max_windows=max_windows,
-                    workers=context.workers,
                 )
                 for t in latencies_ns
             ],
@@ -177,7 +176,6 @@ def fig12_data(
                     duration_ns=duration_ns,
                     sync_interval_ns=s,
                     max_windows=max_windows,
-                    workers=context.workers,
                 )
                 for s in sync_grid_ns
             ],
@@ -213,7 +211,6 @@ def fig13_data(
                         node_noise_std=noise * 0.1,
                         coupling_noise_std=noise,
                         max_windows=max_windows,
-                        workers=context.workers,
                     )
                 )
             curves[noise] = row

@@ -83,16 +83,21 @@ def evaluate_equilibrium(
     return rmse(predictions, targets)
 
 
-def _hardware_windows(
+def evaluate_hardware(
     dspu: ScalableDSPU,
     windowing: TemporalWindowing,
     series: np.ndarray,
-    frames: np.ndarray,
     duration_ns: float,
-    anneal_kwargs: dict,
-) -> np.ndarray:
-    """Anneal one shard of prediction windows; module-level so it pickles."""
-    predictions = []
+    max_windows: int = 15,
+    **anneal_kwargs,
+) -> float:
+    """RMSE of finite-time co-annealing inference on the Scalable DSPU.
+
+    Each prediction window anneals independently; every ``anneal`` call
+    self-seeds from the DSPU's own seed.
+    """
+    frames = windowing.prediction_frames(series)[:max_windows]
+    predictions, targets = [], []
     for t in frames:
         history = windowing.history_of(series, t)
         outcome = dspu.anneal(
@@ -102,53 +107,8 @@ def _hardware_windows(
             **anneal_kwargs,
         )
         predictions.append(outcome.prediction)
-    return np.asarray(predictions)
-
-
-def evaluate_hardware(
-    dspu: ScalableDSPU,
-    windowing: TemporalWindowing,
-    series: np.ndarray,
-    duration_ns: float,
-    max_windows: int = 15,
-    workers: int | None = None,
-    shards: int | None = None,
-    **anneal_kwargs,
-) -> float:
-    """RMSE of finite-time co-annealing inference on the Scalable DSPU.
-
-    Each prediction window anneals independently (every ``anneal`` call
-    self-seeds from the DSPU's own seed), so with ``workers`` set the
-    window loop fans out over a process pool — and because the per-window
-    computation is identical either way, the sharded result is bit-for-bit
-    equal to the serial one *and* to the legacy ``workers=None`` loop.
-    """
-    frames = windowing.prediction_frames(series)[:max_windows]
-    if workers is None:
-        predictions, targets = [], []
-        for t in frames:
-            history = windowing.history_of(series, t)
-            outcome = dspu.anneal(
-                windowing.observed_index,
-                history,
-                duration_ns=duration_ns,
-                **anneal_kwargs,
-            )
-            predictions.append(outcome.prediction)
-            targets.append(series[t])
-        return rmse(np.asarray(predictions), np.asarray(targets))
-
-    from ..parallel.pool import parallel_map, resolve_num_shards, shard_slices
-
-    num_shards = resolve_num_shards(len(frames), shards)
-    tasks = [
-        (dspu, windowing, series, frames[part], duration_ns, anneal_kwargs)
-        for part in shard_slices(len(frames), num_shards)
-    ]
-    parts = parallel_map(_hardware_windows, tasks, workers)
-    predictions = np.concatenate(parts, axis=0)
-    targets = np.asarray([series[t] for t in frames])
-    return rmse(predictions, targets)
+        targets.append(series[t])
+    return rmse(np.asarray(predictions), np.asarray(targets))
 
 
 @dataclass
@@ -164,10 +124,6 @@ class ExperimentContext:
         ridge: Dense-training regularization; ``None`` (default) selects
             it per dataset by chronological holdout validation.
         gnn_epochs: Baseline training epochs.
-        workers: Worker processes for the hardware-evaluation window
-            loops (``None`` keeps them serial).  Results are bit-for-bit
-            identical for any value — the tables and figures pass this
-            straight to :func:`evaluate_hardware`.
     """
 
     size: str = "small"
@@ -175,7 +131,6 @@ class ExperimentContext:
     lanes: int = 8
     ridge: float | None = None
     gnn_epochs: int = 20
-    workers: int | None = None
     _datasets: dict = field(default_factory=dict)
     _dense: dict = field(default_factory=dict)
     _decomposed: dict = field(default_factory=dict)

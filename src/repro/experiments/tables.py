@@ -78,7 +78,6 @@ def table2_data(
             duration_ns=spatial_duration_ns,
             force_spatial_only=True,
             max_windows=max_windows,
-            workers=context.workers,
         )
         for pattern in ("chain", "mesh", "dmesh"):
             dspu = context.dspu(name, density, pattern)
@@ -88,7 +87,6 @@ def table2_data(
                 series,
                 duration_ns=full_duration_ns,
                 max_windows=max_windows,
-                workers=context.workers,
             )
         out[name] = row
     return out
@@ -198,7 +196,6 @@ def table4_data(
                 series,
                 duration_ns=duration_ns,
                 max_windows=max_windows,
-                workers=context.workers,
             ),
             "latency_us": duration_ns / 1000.0,
         }

@@ -347,7 +347,7 @@ class ScalableDSPU:
         self._clamp_slot = self._interval_slot = (None, None)
 
     def __getstate__(self) -> dict:
-        # Pool tasks carry the mapping, not its cached per-phase matrices.
+        # A pickled DSPU carries the mapping, not its cached propagators.
         state = self.__dict__.copy()
         state["_clamp_slot"] = state["_interval_slot"] = (None, None)
         return state

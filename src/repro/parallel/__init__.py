@@ -3,9 +3,8 @@
 The DSPU exists so annealing work can proceed in parallel beyond one
 coupling crossbar; this package is the software analogue: it shards
 independent annealing work — batched circuit runs, batched inference,
-restart pools, experiment window/trial loops — across a process pool,
-and partitions single large meshes across node shards with halo
-exchange (:mod:`repro.parallel.mesh`).
+restart pools — across a process pool, and partitions single large
+meshes across node shards with halo exchange (:mod:`repro.parallel.mesh`).
 
 The load-bearing guarantee, pinned by ``tests/parallel/``: **results are
 bit-for-bit identical for any worker count.**  Three rules deliver it:

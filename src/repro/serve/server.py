@@ -33,10 +33,7 @@ integration step or LU back-substitution is shared across the batch.
   with ``drain=False``, cancels) queued work; every request that will
   never execute resolves with :data:`STATUS_SHUTDOWN` rather than a
   hang, and a ``KeyboardInterrupt``/``SystemExit`` that lands mid-batch
-  fails the in-flight and queued requests the same way.  Pool-backed
-  execution (circuit mode with ``workers``) rides the PR-6 shared-memory
-  transport, whose arenas unlink on success *and* error, so shutdown
-  leaves no ``/dev/shm`` residue (pinned by ``tests/serve``).
+  fails the in-flight and queued requests the same way.
 
 Execution runs inline in the batcher task rather than on a thread pool:
 the obs :class:`~repro.obs.trace.Tracer` keeps one span stack, and the
@@ -112,10 +109,6 @@ class ServeConfig:
         mode: ``"equilibrium"`` (algebraic fixed point — the production
             fast path) or ``"circuit"`` (full annealing integration).
         duration_ns: Circuit-mode annealing time per batch.
-        workers: Circuit-mode pool fan-out forwarded to
-            :meth:`NaturalAnnealingEngine.infer_batch` (``None`` keeps
-            the single-process path).
-        shards: Circuit-mode shard count (with ``workers``).
         drain_on_shutdown: Whether :meth:`InferenceServer.shutdown`
             executes queued batches before exiting (``True``) or fails
             them with :data:`STATUS_SHUTDOWN` (``False``).
@@ -126,8 +119,6 @@ class ServeConfig:
     max_queue: int = 256
     mode: str = "equilibrium"
     duration_ns: float = 50.0
-    workers: int | None = None
-    shards: int | None = None
     drain_on_shutdown: bool = True
 
     def __post_init__(self) -> None:
@@ -448,11 +439,7 @@ class InferenceServer:
                         )
                     else:
                         predictions = self.engine.infer_batch(
-                            index,
-                            values,
-                            duration=config.duration_ns,
-                            workers=config.workers,
-                            shards=config.shards,
+                            index, values, duration=config.duration_ns
                         ).predictions
         except (KeyboardInterrupt, SystemExit, asyncio.CancelledError):
             # Interrupted mid-flight: the batch never completed, so its

@@ -1,5 +1,6 @@
 """Tests of the accuracy-vs-fault-rate sweep and its CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.experiments import (
     fault_sweep_data,
     format_fault_sweep,
 )
+from repro.faults import FaultModel
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,62 @@ class TestSweepData:
     def test_json_serializable(self, sweep):
         payload = json.dumps(sweep)
         assert "fault_rates" in payload
+
+
+class TestMultiTrialSweep:
+    """Each rate averages ``trials`` scenarios sampled from ``seed + trial``."""
+
+    RATES = (0.0, 0.05)
+    SEED = 4
+
+    @pytest.fixture(scope="class")
+    def multi(self, context):
+        return fault_sweep_data(
+            context,
+            datasets=("traffic",),
+            fault_rates=self.RATES,
+            duration_ns=2000.0,
+            max_windows=2,
+            trials=2,
+            seed=self.SEED,
+        )["traffic"]
+
+    def _scenario(self, dspu, rate, trial):
+        model = dataclasses.replace(
+            FaultModel.uniform(rate, seed=self.SEED + trial),
+            sync_skip_rate=rate,
+        )
+        return model.sample(dspu.model.n, J=dspu.model.J)
+
+    def test_rmse_is_the_mean_over_trials(self, context, multi):
+        trained = context.dense("traffic")
+        dspu = context.dspu("traffic", 0.15, "dmesh")
+        series = trained.test.flat_series()
+        for i, rate in enumerate(self.RATES):
+            values = [
+                evaluate_hardware(
+                    dspu,
+                    trained.windowing,
+                    series,
+                    duration_ns=2000.0,
+                    max_windows=2,
+                    faults=self._scenario(dspu, rate, trial),
+                )
+                for trial in range(2)
+            ]
+            if rate > 0:
+                assert values[0] != values[1]
+            assert multi["rmse"][i] == float(np.mean(values))
+
+    def test_scenarios_come_from_trial_zero(self, context, multi):
+        dspu = context.dspu("traffic", 0.15, "dmesh")
+        assert multi["scenarios"] == [
+            self._scenario(dspu, rate, 0).summary() for rate in self.RATES
+        ]
+
+    def test_no_trial_diverges(self, multi):
+        assert multi["diverged"] == [0, 0]
+        assert multi["trials"] == 2
 
 
 class TestReporting:

@@ -13,7 +13,6 @@ import pytest
 from repro.core import NaturalAnnealingEngine
 from repro.core.dynamics import CircuitSimulator, IntegrationConfig
 from repro.core.operators import CouplingOperator
-from repro.hardware import ScalableDSPU
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +42,3 @@ def engine(trained_model):
         config=IntegrationConfig(dt=0.05, record_every=8, node_noise_std=0.02),
         seed=3,
     )
-
-
-@pytest.fixture(scope="module")
-def traffic_dspu(decomposed_traffic):
-    return ScalableDSPU(decomposed_traffic, node_time_constant_ns=500.0)

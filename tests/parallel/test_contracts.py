@@ -4,8 +4,8 @@ Every fan-out layer raises ``ValueError`` on empty work rather than
 silently returning an empty payload — downstream consumers (plotting,
 BENCH writers, restart selection) treat an empty result as a *finished*
 computation, which would hide the bug.  One contract, asserted at every
-entry point: ``run_batch_sharded``, ``infer_batch_sharded``,
-``restart_fanout``, and the fault-sweep grid.
+sharded entry point (``run_batch_sharded``, ``infer_batch_sharded``,
+``restart_fanout``) and at the serial fault-sweep grid.
 """
 
 import numpy as np

@@ -1,17 +1,12 @@
 """Serial↔parallel equivalence: ``workers=N`` must equal ``workers=1`` bit
-for bit at every layer that fans out — circuit batches, engine inference,
-restart policies, hardware evaluation, and the fault sweep.  Every
-comparison below uses exact equality, not allclose.
+for bit at every layer that fans out — circuit batches, engine inference
+and restart policies.  Every comparison below uses exact equality, not
+allclose.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    ExperimentContext,
-    evaluate_hardware,
-    fault_sweep_data,
-)
 from repro.faults import RestartPolicy
 
 
@@ -133,39 +128,3 @@ class TestRestartPolicy:
         assert serial.best_index == pooled.best_index
         assert serial.attempts == pooled.attempts
 
-
-class TestHardwareLayers:
-    def test_evaluate_hardware_matches_legacy(
-        self, traffic_dspu, traffic_setup
-    ):
-        windowing = traffic_setup["windowing"]
-        series = traffic_setup["test"].flat_series()
-        evaluate = lambda w: evaluate_hardware(  # noqa: E731
-            traffic_dspu, windowing, series,
-            duration_ns=2000.0, max_windows=4, workers=w,
-        )
-        legacy = evaluate(None)
-        assert evaluate(1) == legacy
-        assert evaluate(2) == legacy
-
-
-class TestFaultSweep:
-    @pytest.fixture(scope="class")
-    def context(self):
-        return ExperimentContext(size="small")
-
-    def _sweep(self, context, workers):
-        return fault_sweep_data(
-            context,
-            datasets=("traffic",),
-            fault_rates=(0.0, 0.02),
-            duration_ns=2000.0,
-            max_windows=2,
-            trials=2,
-            workers=workers,
-        )
-
-    def test_workers_do_not_change_payload(self, context):
-        serial = self._sweep(context, None)
-        pooled = self._sweep(context, 2)
-        assert serial == pooled

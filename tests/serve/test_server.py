@@ -149,15 +149,10 @@ class TestShutdown:
         assert second.status == STATUS_OK
 
 
-class TestPoolBackedServing:
-    def test_circuit_mode_with_workers_leaves_no_shm_residue(self):
-        """Pool-backed batches ride the PR-6 transport: zero residue."""
+class TestCircuitModeServing:
+    def test_circuit_mode_burst_leaves_no_shm_residue(self):
         config = ServeConfig(
-            mode="circuit",
-            duration_ns=2.0,
-            batch_window_ms=10.0,
-            workers=1,
-            shards=2,
+            mode="circuit", duration_ns=2.0, batch_window_ms=10.0
         )
 
         async def main():
@@ -175,10 +170,7 @@ class TestPoolBackedServing:
 
     def test_circuit_mode_shutdown_mid_queue_no_residue(self):
         config = ServeConfig(
-            mode="circuit",
-            duration_ns=2.0,
-            batch_window_ms=500.0,
-            workers=1,
+            mode="circuit", duration_ns=2.0, batch_window_ms=500.0
         )
 
         async def main():
