@@ -26,6 +26,7 @@ circuit simulator: explicit integrators over the node ODEs, with support for
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -508,6 +509,24 @@ class CircuitSimulator:
                 energy=energy, root_seed=root_seed, workers=workers,
                 shards=shards,
             )
+        return self._run_batch(
+            drift, sigma0, duration, clamp_index, clamp_value, energy
+        )
+
+    def _run_batch(
+        self,
+        drift,
+        sigma0: np.ndarray,
+        duration: float,
+        clamp_index: np.ndarray | None,
+        clamp_value: np.ndarray | None,
+        energy,
+        tail: int | None = None,
+    ) -> BatchTrajectory:
+        """:meth:`run_batch` in this process.
+
+        ``tail`` is passed to :meth:`_integrate`.
+        """
         sigma = np.array(sigma0, dtype=float)
         if sigma.ndim != 2:
             raise ValueError(
@@ -524,7 +543,8 @@ class CircuitSimulator:
         ) as span:
             with obs.metrics().timer("circuit.run_batch_ms"):
                 times, states, energies, stats = self._integrate(
-                    drift, sigma, duration, clamp_index, clamp_value, energy
+                    drift, sigma, duration, clamp_index, clamp_value, energy,
+                    tail=tail,
                 )
             trajectory = BatchTrajectory(
                 times=times, states=states, energies=energies
@@ -655,6 +675,7 @@ class CircuitSimulator:
         clamp_index: np.ndarray,
         clamp_value: np.ndarray,
         energy,
+        tail: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """Vectorized Euler/RK4 loop over a ``(batch, n)`` state matrix.
 
@@ -671,6 +692,10 @@ class CircuitSimulator:
           the step that freezes the last member.
 
         Every accepted step applies drift, noise, then rails and clamps.
+        The initial state and every ``record_every``-th step (plus the last
+        one) are recorded; ``tail`` keeps only the last ``tail`` of those
+        frames, and ``None`` keeps them all.  ``energy`` is evaluated once
+        per kept frame, after the loop.
         Returns ``(times, states, energies, stats)``; ``stats`` carries the
         step, rejection and freeze-out counts of :meth:`_observe_run`.
         """
@@ -705,16 +730,8 @@ class CircuitSimulator:
             dt = cfg.dt
             n_steps = fixed_step_count(duration, dt)
 
-        def record_energy() -> np.ndarray:
-            return (
-                np.asarray(energy(sigma), dtype=float)
-                if energy is not None
-                else np.zeros(batch)
-            )
-
-        times = [0.0]
-        states = [sigma.copy()]
-        energies = [record_energy()]
+        # (time, state) pairs; a bounded deque drops the oldest frame.
+        frames = deque([(0.0, sigma.copy())], maxlen=tail)
 
         active = np.arange(batch)
         streak = np.zeros(batch, dtype=int)
@@ -802,11 +819,17 @@ class CircuitSimulator:
                 reference = sigma.copy()
             exited = cfg.early_exit and active.size == 0
             if step % cfg.record_every == 0 or done or exited:
-                times.append(t)
-                states.append(sigma.copy())
-                energies.append(record_energy())
+                frames.append((t, sigma.copy()))
             done = done or exited
 
+        times = np.asarray([when for when, _ in frames])
+        states = np.asarray([state for _, state in frames])
+        if energy is None:
+            energies = np.zeros((times.size, batch))
+        else:
+            energies = np.asarray(
+                [np.asarray(energy(state), dtype=float) for _, state in frames]
+            )
         stats = {
             "steps": step,
             "rejected_steps": rejected,
@@ -815,7 +838,7 @@ class CircuitSimulator:
             "exited_early": exited,
             "final_time": float(times[-1]),
         }
-        return np.asarray(times), np.asarray(states), np.asarray(energies), stats
+        return times, states, energies, stats
 
     def _rk4(self, drift, y, h, inv_c, clamp_index, clamp_value) -> np.ndarray:
         """One classical RK4 step of size ``h``.  Every intermediate stage
@@ -879,8 +902,11 @@ class CircuitSimulator:
         cfg = self.config
         if cfg.rail is not None:
             sigma = np.clip(sigma, -cfg.rail, cfg.rail)
-        if clamp_index.size:
+        elif clamp_index.size:
+            # Never write into the caller's array: _adaptive_trial still
+            # reads its unprojected Euler state.
             sigma = sigma.copy()
+        if clamp_index.size:
             sigma[..., clamp_index] = clamp_value
         return sigma
 

@@ -61,6 +61,10 @@ __all__ = [
 
 logger = logging.getLogger("repro.core")
 
+#: Recorded frames :meth:`NaturalAnnealingEngine.infer_batch` keeps: the
+#: last two, which is all :meth:`BatchTrajectory.settled_fraction` reads.
+_TAIL_FRAMES = 2
+
 #: Default bound on the per-engine reduced-system LRU cache.  Generous —
 #: a factored :class:`ReducedSystem` per *observed-index set* is only a
 #: problem under serving workloads that rotate through unbounded clamp
@@ -138,8 +142,9 @@ class BatchInferenceResult:
         predictions: ``(batch, num_free)`` denormalized free-node values,
             free nodes in ascending index order.
         states: ``(batch, n)`` final node voltages (normalized domain).
-        trajectory: Recorded evolution of the whole batch, when the
-            circuit path was used.
+        trajectory: The last two recorded frames of the whole batch (one
+            when an adaptive run of zero duration recorded only its
+            initial state), under the config's ``record_every``.
         annealing_time_ns: Simulated time the systems evolved for (the
             actual integrated time under ``adaptive``/``early_exit``
             configs; see :class:`InferenceResult`).
@@ -555,6 +560,15 @@ class NaturalAnnealingEngine:
         shared by the batch — device mismatch is static on a physical chip,
         so samples running on the same hardware see the same perturbation.
 
+        Only what the result exposes is computed: the trajectory holds the
+        last two recorded frames (what
+        :meth:`~repro.core.dynamics.BatchTrajectory.settled_fraction`
+        reads), and H_RV is evaluated for those two alone.  On the sparse
+        backend without coupler noise, the drift multiplies only the CSR
+        rows of the free nodes; the clamped rows are overwritten after
+        every step and RK4 stage, so states, predictions and the two
+        frames equal those of a full ``run_batch`` bit for bit.
+
         Args:
             observed_index: Indices of observed nodes (shared by the batch).
             observed_values: ``(batch, num_observed)`` raw-domain values.
@@ -608,16 +622,27 @@ class NaturalAnnealingEngine:
             config=self.config, rng=rng, faults=self.faults
         )
         operator = self.operator
-        drift = self._drift_function(simulator, operator)
+        noise_free = self.config.coupling_noise_std <= 0
+        if operator.backend == "sparse" and noise_free:
+            drift = operator._rows_drift(free_index)
+            drift_rows = free_index.size
+        else:
+            # Dense and coupler-noise drifts stay full: a column-subset
+            # GEMM can change their last bits.
+            drift = self._drift_function(simulator, operator)
+            drift_rows = n
 
-        with obs.tracer().span("engine.infer_batch", batch=batch, n=n):
-            trajectory = simulator.run_batch(
+        with obs.tracer().span("engine.infer_batch", batch=batch, n=n) as span:
+            if obs.enabled():
+                span.set("drift_rows", drift_rows)
+            trajectory = simulator._run_batch(
                 drift,
                 sigma0,
                 duration,
-                clamp_index=observed_index,
-                clamp_value=clamp,
-                energy=operator.energy,
+                observed_index,
+                clamp,
+                operator.energy,
+                tail=_TAIL_FRAMES,
             )
         states = trajectory.final_states
         predictions = self._denormalized_free(

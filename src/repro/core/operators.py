@@ -629,6 +629,27 @@ class CouplingOperator:
         """Circuit drift ``J sigma + h * sigma`` (Eq. 8), batch-aware."""
         return self.matvec(sigma) + self.h * sigma
 
+    def _rows_drift(self, rows: np.ndarray):
+        """A drift that multiplies only the coupling rows ``rows``.
+
+        Returns ``sigma -> h * sigma`` plus ``J[rows] sigma`` on the
+        columns ``rows``; the other columns lack their coupling current.
+        For runs that overwrite those columns after every step (the
+        clamped nodes of inference).  On CSR storage row slicing keeps
+        each row's summation order, so the ``rows`` columns equal
+        :meth:`drift`'s bit for bit.
+        """
+        J_rows = self._J[rows]
+        h = self.h
+
+        def drift(sigma: np.ndarray) -> np.ndarray:
+            out = h * sigma
+            x = np.asarray(sigma, dtype=self.dtype)
+            out[..., rows] += np.asarray(J_rows @ x.T).T
+            return out
+
+        return drift
+
     def gradient(self, sigma: np.ndarray) -> np.ndarray:
         """Real-valued Hamiltonian gradient ``-2 (J sigma + h * sigma)``."""
         return -2.0 * self.drift(sigma)

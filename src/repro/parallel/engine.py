@@ -26,12 +26,12 @@ import numpy as np
 
 from .. import obs
 from ..core.inference import (
+    _TAIL_FRAMES,
     DEFAULT_CACHE_CAPACITY,
     BatchInferenceResult,
     NaturalAnnealingEngine,
 )
 from ..core.dynamics import BatchTrajectory
-from .circuit import expected_record_count
 from .pool import parallel_map, resolve_num_shards, shard_slices, spawn_seeds
 from .shm import SharedArena, SharedModel, shm_available
 
@@ -182,7 +182,10 @@ def infer_batch_sharded(
             output bits (same shards, same seeds, same arithmetic).
 
     Returns:
-        The reassembled :class:`BatchInferenceResult`.
+        The reassembled :class:`BatchInferenceResult`.  Its trajectory
+        concatenates the shards' two-frame tails along the batch axis.
+        Adaptive and early-exit shards record data-dependent time grids,
+        so each tail frame is stamped at the latest shard's time.
     """
     values = np.asarray(observed_values, dtype=float)
     if values.ndim != 2:
@@ -216,33 +219,18 @@ def infer_batch_sharded(
             for part, seed in zip(slices, seeds)
         ]
         parts = parallel_map(_infer_shard, tasks, workers)
-        if variable_records:
-            # Adaptive/early-exit shards record data-dependent time grids;
-            # keep the (initial, final) frames (see
-            # repro.parallel.circuit.run_batch_sharded).
-            final_t = max(float(p[2][-1]) for p in parts)
-            trajectory = BatchTrajectory(
-                times=np.array([0.0, final_t]),
-                states=np.concatenate(
-                    [np.stack([p[3][0], p[3][-1]]) for p in parts], axis=1
-                ),
-                energies=np.concatenate(
-                    [np.stack([p[4][0], p[4][-1]]) for p in parts], axis=1
-                ),
-            )
-            annealed = final_t
-        else:
-            trajectory = BatchTrajectory(
-                times=parts[0][2],
-                states=np.concatenate([p[3] for p in parts], axis=1),
-                energies=np.concatenate([p[4] for p in parts], axis=1),
-            )
-            annealed = duration
+        times = np.max([p[2] for p in parts], axis=0)
         return BatchInferenceResult(
             predictions=np.concatenate([p[0] for p in parts], axis=0),
             states=np.concatenate([p[1] for p in parts], axis=0),
-            trajectory=trajectory,
-            annealing_time_ns=annealed,
+            trajectory=BatchTrajectory(
+                times=times,
+                states=np.concatenate([p[3] for p in parts], axis=1),
+                energies=np.concatenate([p[4] for p in parts], axis=1),
+            ),
+            annealing_time_ns=(
+                float(times[-1]) if variable_records else duration
+            ),
         )
 
     n = engine.model.n
@@ -251,7 +239,9 @@ def infer_batch_sharded(
     with SharedArena(tag="infer") as arena:
         spec = EngineSpec.from_engine(engine, arena)
         values_shared = arena.share(values)
-        T = expected_record_count(engine.config, duration)
+        # A fixed-step run records its initial and final frames at least,
+        # so every shard fills the whole tail.
+        T = _TAIL_FRAMES
         predictions_out = arena.empty((batch, num_free))
         states_out = arena.empty((batch, n))
         times_out = arena.empty((T,))

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     IntegrationConfig,
     NaturalAnnealingEngine,
     symmetrize_coupling,
 )
+from repro.core.dynamics import CircuitSimulator
 from repro.core.model import DSGLModel
+from repro.faults import FaultModel
+from repro.obs import read_trace
 
 
 def _engine(seed=0, **config_kwargs):
@@ -25,6 +29,37 @@ def _engine(seed=0, **config_kwargs):
     return NaturalAnnealingEngine(
         model, config=IntegrationConfig(dt=0.02, **config_kwargs)
     )
+
+
+def _reference_run(engine, observed, values, duration):
+    """The full ``run_batch`` that ``engine.infer_batch`` stands for.
+
+    Same seed, initial states, clamps, simulator and energy; the drift is
+    the operator's own (or, under coupler noise, the engine's perturbed
+    one).  Returns ``(trajectory, predictions)``.
+    """
+    model = engine.model
+    clamp = (values - model.mean[observed]) / model.scale[observed]
+    rng = np.random.default_rng(engine.seed)
+    sigma0 = rng.uniform(-1.0, 1.0, size=(values.shape[0], model.n))
+    sigma0[:, observed] = clamp
+    simulator = CircuitSimulator(
+        config=engine.config, rng=rng, faults=engine.faults
+    )
+    operator = engine.operator
+    trajectory = simulator.run_batch(
+        engine._drift_function(simulator, operator),
+        sigma0,
+        duration,
+        clamp_index=observed,
+        clamp_value=clamp,
+        energy=operator.energy,
+    )
+    free = np.setdiff1d(np.arange(model.n), observed)
+    predictions = (
+        trajectory.final_states[:, free] * model.scale[free] + model.mean[free]
+    )
+    return trajectory, predictions
 
 
 class TestEquilibriumInference:
@@ -193,11 +228,23 @@ class TestBatchInference:
         result = engine.infer_batch(observed, values, duration=20.0)
         trajectory = result.trajectory
         assert trajectory.batch_size == 2
-        assert trajectory.states.shape[1:] == (2, 8)
-        assert trajectory.energies.shape[1] == 2
-        # Noiseless annealing descends energy for every sample.
-        assert np.all(np.diff(trajectory.energies, axis=0) <= 1e-9)
+        # infer_batch keeps only the last two recorded frames.
+        assert trajectory.states.shape == (2, 2, 8)
+        assert trajectory.energies.shape == (2, 2)
         assert result.annealing_time_ns == 20.0
+
+    def test_run_batch_energy_never_increases(self):
+        """H_RV never increases at any step of the run infer_batch stands
+        for: same model, clamps, operator drift and energy."""
+        engine = _engine(seed=1)
+        observed = np.asarray([1, 4])
+        values = np.asarray([[0.4, -0.3], [0.2, 0.6]])
+        trajectory, _ = _reference_run(engine, observed, values, 20.0)
+        # 20 ns at dt=0.02 ns: the initial state and all 1000 steps.
+        assert trajectory.energies.shape == (1001, 2)
+        assert np.all(np.diff(trajectory.energies, axis=0) <= 1e-9)
+        tail = engine.infer_batch(observed, values, duration=20.0).trajectory
+        assert np.array_equal(tail.energies, trajectory.energies[-2:])
 
     def test_batch_rejects_bad_shapes(self):
         engine = _engine()
@@ -206,6 +253,109 @@ class TestBatchInference:
             engine.infer_batch(observed, np.asarray([0.1, 0.2]))
         with pytest.raises(ValueError, match="batch, num_observed"):
             engine.infer_equilibrium_batch(observed, np.zeros((3, 5)))
+
+
+class TestBatchTail:
+    """``infer_batch`` computes only what it returns, bit for bit.
+
+    It keeps the last two recorded frames, evaluates H_RV for those two,
+    and on the sparse backend without coupler noise multiplies only the
+    free rows of ``J``.  Everything it returns must equal the full
+    :func:`_reference_run` exactly.
+    """
+
+    POLICIES = {
+        "fixed": {},
+        "early_exit": {"early_exit": True},
+        "adaptive": {"adaptive": True, "rtol": 1e-3},
+        "rk4": {"method": "rk4"},
+    }
+    OBSERVED = np.arange(0, 20, 3)
+
+    @staticmethod
+    def _make_engine(backend, **config_kwargs):
+        rng = np.random.default_rng(4)
+        n = 20
+        raw = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3)
+        J = symmetrize_coupling(raw)
+        h = -(np.abs(J).sum(axis=1) + 1.0)
+        model = DSGLModel(
+            J=J,
+            h=h,
+            mean=rng.normal(size=n),
+            scale=rng.uniform(0.5, 1.5, size=n),
+        )
+        return NaturalAnnealingEngine(
+            model,
+            config=IntegrationConfig(dt=0.05, **config_kwargs),
+            seed=5,
+            backend=backend,
+        )
+
+    def _assert_matches_reference(self, engine, duration=4.0):
+        values = np.random.default_rng(6).normal(size=(4, self.OBSERVED.size))
+        result = engine.infer_batch(self.OBSERVED, values, duration=duration)
+        reference, predictions = _reference_run(
+            engine, self.OBSERVED, values, duration
+        )
+        tail = result.trajectory
+        assert reference.times.size > 2
+        assert tail.states.shape == (2, 4, engine.model.n)
+        assert np.array_equal(result.predictions, predictions)
+        assert np.array_equal(result.states, reference.final_states)
+        assert np.array_equal(tail.times, reference.times[-2:])
+        assert np.array_equal(tail.states, reference.states[-2:])
+        assert np.array_equal(tail.energies, reference.energies[-2:])
+        assert np.array_equal(
+            tail.settled_fraction(), reference.settled_fraction()
+        )
+
+    @pytest.mark.parametrize("record_every", [1, 5])
+    @pytest.mark.parametrize("node_noise_std", [0.0, 0.02])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_matches_full_run(
+        self, backend, policy, node_noise_std, record_every
+    ):
+        engine = self._make_engine(
+            backend,
+            node_noise_std=node_noise_std,
+            record_every=record_every,
+            **self.POLICIES[policy],
+        )
+        self._assert_matches_reference(engine)
+
+    def test_coupler_noise_matches_full_run(self):
+        engine = self._make_engine("sparse", coupling_noise_std=0.05)
+        self._assert_matches_reference(engine)
+
+    def test_faults_match_full_run(self):
+        engine = self._make_engine("sparse", node_noise_std=0.02)
+        scenario = FaultModel.uniform(0.05, seed=6).sample(
+            engine.model.n, engine.model.J
+        )
+        # One node stuck among the observed and one among the free ones,
+        # beside dead and drifting couplers.
+        assert np.intersect1d(scenario.stuck_index, self.OBSERVED).size
+        assert np.setdiff1d(scenario.stuck_index, self.OBSERVED).size
+        assert scenario.summary()["dead_couplers"]
+        engine.set_faults(scenario)
+        self._assert_matches_reference(engine)
+
+    def test_sparse_drift_multiplies_only_free_rows(self, tmp_path):
+        free = 20 - self.OBSERVED.size
+        values = np.zeros((2, self.OBSERVED.size))
+        for backend, rows in (("sparse", free), ("dense", 20)):
+            path = tmp_path / f"{backend}.jsonl"
+            with obs.observe(trace_path=path):
+                self._make_engine(backend).infer_batch(
+                    self.OBSERVED, values, duration=1.0
+                )
+            (span,) = [
+                r for r in read_trace(path)
+                if r["kind"] == "span" and r["name"] == "engine.infer_batch"
+            ]
+            assert span["attributes"]["drift_rows"] == rows
 
 
 class TestCacheBound:

@@ -42,3 +42,16 @@ def engine(trained_model):
         config=IntegrationConfig(dt=0.05, record_every=8, node_noise_std=0.02),
         seed=3,
     )
+
+
+@pytest.fixture(scope="module")
+def early_exit_engine(trained_model):
+    """Noise-free early exit: the shards of ``TestEngineInference`` end at
+    different times (0.9, 0.9 and 1.05 ns)."""
+    return NaturalAnnealingEngine(
+        trained_model,
+        config=IntegrationConfig(
+            dt=0.05, record_every=8, early_exit=True, settle_check_every=3
+        ),
+        seed=3,
+    )

@@ -82,6 +82,20 @@ class TestEngineInference:
         assert np.array_equal(serial.states, pooled.states)
         assert _trajectories_equal(serial.trajectory, pooled.trajectory)
 
+    def test_early_exit_tails_do_not_depend_on_workers(
+        self, early_exit_engine
+    ):
+        """Variable records: each shard's two-frame tail, reassembled and
+        stamped at the latest shard's times."""
+        serial = self._infer(early_exit_engine, 1)
+        pooled = self._infer(early_exit_engine, 2)
+        assert serial.trajectory.states.shape[:2] == (2, 6)
+        assert serial.annealing_time_ns == serial.trajectory.times[-1] == 1.05
+        assert np.array_equal(serial.predictions, pooled.predictions)
+        assert np.array_equal(serial.states, pooled.states)
+        assert _trajectories_equal(serial.trajectory, pooled.trajectory)
+        assert serial.annealing_time_ns == pooled.annealing_time_ns
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_transport_does_not_change_bits(self, engine, workers):
         """Legacy pickled vs shared-memory task transport: same bits."""
