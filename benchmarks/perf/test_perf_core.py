@@ -29,6 +29,11 @@ def test_bench_smoke_writes_valid_payload(tmp_path):
                 assert row["task_pickled_bytes_shm"] >= 1
             continue
         assert result["speedup"] > 0
+        if result["name"].startswith("tune_"):
+            # Tune rows judge both arms against an absolute MAE ceiling
+            # instead of diffing the two noisy outputs.
+            assert result["equal_accuracy"]
+            continue
         # Optimized paths must agree with their baselines.
         assert result["max_abs_diff"] < 1e-8
 

@@ -49,18 +49,10 @@ PATH`` (continuous sampling profiler, collapsed-stack output; see
 ``--profile-interval``/``--profile-timer``), and ``-v``/``-q`` (console
 log verbosity through the stdlib ``repro.*`` loggers).
 
-``train``, ``bench`` and ``tune`` also accept ``--workers N``, which
-fans their sharded annealing work out over N worker processes via
-:mod:`repro.parallel`:
-
-* ``train`` runs the circuit check through sharded ``infer_batch``;
-* ``bench`` sets the worker count of the serial-vs-parallel rows;
-* ``tune`` sets the worker count of the ``--shard-counts`` candidates.
-
-Results are bit-for-bit identical for every N >= 1 (seed-deterministic
-sharding), but not identical to a run without the flag: the flag
-switches ``infer_batch`` from one random stream for the whole batch to
-per-shard seeding, so ``train``'s circuit-check RMSE can change.
+``bench`` also accepts ``--workers N``: the worker count of its
+serial-vs-parallel rows, which run the same shards of a batched circuit
+run (:func:`repro.parallel.run_batch_sharded`) on 1 and N processes and
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -165,21 +157,6 @@ def _observability_options() -> argparse.ArgumentParser:
     return common
 
 
-def _parallel_options() -> argparse.ArgumentParser:
-    """Shared ``--workers`` option for commands that shard work."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="fan sharded annealing work out over N worker processes; "
-        "every N >= 1 gives bit-for-bit identical results, but sharding "
-        "seeds per shard, so they can differ from a run without the flag",
-    )
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -187,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="DS-GL reproduction: nature-powered graph learning.",
     )
     common = _observability_options()
-    parallel = _parallel_options()
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser(
@@ -197,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser(
         "train",
         help="train and evaluate a dense system",
-        parents=[common, parallel],
+        parents=[common],
     )
     train.add_argument("dataset", choices=ALL_DATASETS)
     train.add_argument("--size", default="small", choices=("small", "paper"))
@@ -240,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="time the hot paths, write BENCH_core.json / BENCH_nn.json",
-        parents=[common, parallel],
+        parents=[common],
     )
     bench.add_argument(
         "--suite",
@@ -260,6 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--batch", type=_positive_int, default=64)
     bench.add_argument("--repeats", type=_positive_int, default=3)
+    bench.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="worker processes of the serial-vs-parallel rows (core "
+        "suite), which run the same shards on 1 and N processes",
+    )
 
     faults_cmd = sub.add_parser(
         "faults", help="fault-injection utilities"
@@ -477,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tune",
         help="search annealing-path configs for an equal-accuracy "
         "Pareto front (or replay a tuned config with --config)",
-        parents=[common, parallel],
+        parents=[common],
     )
     tune.add_argument(
         "--config",
@@ -557,14 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="K",
         help="best-of-K restart counts to search (circuit only)",
-    )
-    tune.add_argument(
-        "--shard-counts",
-        type=_positive_int,
-        nargs="+",
-        default=[],
-        metavar="S",
-        help="parallel shard counts to search (circuit only)",
     )
     tune.add_argument(
         "--out",
@@ -701,9 +677,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             model,
             config=IntegrationConfig(record_every=5, energy_probe_every=25),
         )
-        result = engine.infer_batch(
-            windowing.observed_index, histories, workers=args.workers
-        )
+        result = engine.infer_batch(windowing.observed_index, histories)
         targets = np.stack([test_series[t] for t in frames])
         circuit_rmse = rmse(result.predictions, targets)
         settled = result.trajectory.settled_fraction()
@@ -1023,8 +997,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             schedules=args.schedules,
             sync_intervals=args.sync_intervals or [10.0],
             restarts=args.restarts,
-            shards=args.shard_counts,
-            workers=getattr(args, "workers", None),
         )
     else:
         problem = DspuProblem(

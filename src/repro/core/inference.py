@@ -546,9 +546,6 @@ class NaturalAnnealingEngine:
         observed_values: np.ndarray,
         duration: float = 50.0,
         rng: np.random.Generator | None = None,
-        *,
-        workers: int | None = None,
-        shards: int | None = None,
     ) -> BatchInferenceResult:
         """Circuit-simulation inference over a batch sharing one observed set.
 
@@ -574,32 +571,10 @@ class NaturalAnnealingEngine:
             observed_values: ``(batch, num_observed)`` raw-domain values.
             duration: Annealing time in simulated nanoseconds.
             rng: Randomness for initialization (defaults to seeded).
-                Mutually exclusive with ``workers`` — the sharded path
-                derives per-shard streams from ``self.seed`` instead.
-            workers: ``None`` (default) keeps the legacy single-process
-                path bit-for-bit.  Any integer engages
-                :func:`repro.parallel.infer_batch_sharded`: the batch is
-                split into ``shards`` slices, each initialized and
-                integrated under ``default_rng(SeedSequence(self.seed)
-                .spawn(num)[i])`` on a worker process — identical results
-                for every ``workers`` value, including 1.
-            shards: Sharded-mode shard count (independent of ``workers``).
 
         Returns:
             :class:`BatchInferenceResult` with per-sample predictions.
         """
-        if workers is not None:
-            if rng is not None:
-                raise ValueError(
-                    "rng and workers are mutually exclusive: sharded "
-                    "inference derives per-shard streams from engine.seed"
-                )
-            from ..parallel.engine import infer_batch_sharded
-
-            return infer_batch_sharded(
-                self, observed_index, observed_values, duration=duration,
-                workers=workers, shards=shards,
-            )
         model = self.model
         n = model.n
         observed_index, free_index = split_nodes(observed_index, n)

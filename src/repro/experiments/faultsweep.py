@@ -91,10 +91,9 @@ def fault_sweep_data(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Same empty-input contract as the sharded entry points
-    # (run_batch_sharded / infer_batch_sharded / restart_fanout): an empty
-    # grid would silently return an empty payload that downstream plotting
-    # treats as a finished sweep.
+    # Same empty-input contract as the sharded entry point
+    # (run_batch_sharded): an empty grid would silently return an empty
+    # payload that downstream plotting treats as a finished sweep.
     if not datasets:
         raise ValueError("cannot sweep an empty datasets tuple")
     if not fault_rates:

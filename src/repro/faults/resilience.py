@@ -134,34 +134,17 @@ class RestartPolicy:
             raises :class:`DivergenceError`; each retry re-initializes
             from a fresh random state.
         seed: Seed of the restart initializations.
-        workers: ``None`` (default, with ``shards=None``) keeps the legacy
-            single-batch path bit-for-bit.  Setting either field engages
-            the sharded fan-out (:func:`repro.parallel.restart_fanout`):
-            the restart pool splits into shards seeded from
-            ``(seed, shard_index)`` and anneals on ``workers`` processes.
-            Sharded results are identical for every worker count
-            (including 1) but differ from the legacy path, which draws
-            all initializations from one stream.  Divergence is retried
-            *per shard*; only shards that exhaust their retries drop out,
-            and the policy raises only when every shard is lost.
-        shards: Shard count of the fan-out, independent of ``workers``.
     """
 
     restarts: int = 4
     max_retries: int = 2
     seed: int = 0
-    workers: int | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
     def infer(
         self,
@@ -187,10 +170,6 @@ class RestartPolicy:
         Raises:
             DivergenceError: Every attempt (1 + ``max_retries``) diverged.
         """
-        if self.workers is not None or self.shards is not None:
-            return self._infer_sharded(
-                engine, observed_index, observed_values, duration
-            )
         values = np.asarray(observed_values, dtype=float).reshape(1, -1)
         batch = np.repeat(values, self.restarts, axis=0)
         rng = np.random.default_rng(self.seed)
@@ -243,64 +222,5 @@ class RestartPolicy:
             energies=energies,
             best_index=best,
             attempts=diverged + 1,
-            diverged=diverged,
-        )
-
-    def _infer_sharded(
-        self,
-        engine,
-        observed_index: np.ndarray,
-        observed_values: np.ndarray,
-        duration: float,
-    ) -> RestartOutcome:
-        """Sharded restart fan-out: shard the pool, keep every survivor.
-
-        ``energies`` / ``best_index`` cover the *surviving* restarts in
-        shard order (a shard that exhausts its retries contributes
-        nothing); ``attempts`` counts batched integrations across shards.
-        """
-        from ..parallel.engine import restart_fanout
-
-        results, slices = restart_fanout(
-            engine, observed_index, observed_values,
-            restarts=self.restarts, duration=duration, root_seed=self.seed,
-            max_retries=self.max_retries, workers=self.workers,
-            shards=self.shards,
-        )
-        registry = obs.metrics()
-        diverged = sum(r["diverged"] for r in results)
-        survivors = [r for r in results if r["error"] is None]
-        if diverged:
-            registry.counter("faults.restart_divergences").inc(diverged)
-        if not survivors:
-            where, step, time_ns, bad_nodes = results[-1]["error"]
-            raise DivergenceError(
-                f"restart_policy ({diverged} attempts across "
-                f"{len(results)} shards, last: {where})",
-                step=step, time_ns=time_ns, bad_nodes=bad_nodes,
-            )
-        predictions = np.concatenate([r["predictions"] for r in survivors])
-        states = np.concatenate([r["states"] for r in survivors])
-        energies = np.asarray(engine.operator.energy(states))
-        best = int(np.argmin(energies))
-        registry.counter("faults.restart_runs").inc()
-        registry.counter("faults.restarts").inc(self.restarts)
-        if best != 0:
-            registry.counter("faults.restart_recoveries").inc()
-        obs.tracer().event(
-            "faults.restart",
-            restarts=self.restarts,
-            shards=len(slices),
-            best_index=best,
-            best_energy=float(energies[best]),
-            energy_spread=float(energies.max() - energies.min()),
-            diverged=diverged,
-        )
-        return RestartOutcome(
-            prediction=predictions[best],
-            state=states[best],
-            energies=energies,
-            best_index=best,
-            attempts=len(survivors) + diverged,
             diverged=diverged,
         )

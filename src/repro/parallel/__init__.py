@@ -1,10 +1,10 @@
 """``repro.parallel`` — seed-deterministic multi-worker execution.
 
 The DSPU exists so annealing work can proceed in parallel beyond one
-coupling crossbar; this package is the software analogue: it shards
-independent annealing work — batched circuit runs, batched inference,
-restart pools — across a process pool, and partitions single large
-meshes across node shards with halo exchange (:mod:`repro.parallel.mesh`).
+coupling crossbar; this package is the software analogue: it shards the
+members of a batched circuit run across a process pool
+(:func:`run_batch_sharded`), and partitions single large meshes across
+node shards with halo exchange (:mod:`repro.parallel.mesh`).
 
 The load-bearing guarantee, pinned by ``tests/parallel/``: **results are
 bit-for-bit identical for any worker count.**  Three rules deliver it:
@@ -31,7 +31,6 @@ Worker metrics and trace records merge back into the parent
 """
 
 from .circuit import expected_record_count, run_batch_sharded, shard_task_bytes
-from .engine import EngineSpec, infer_batch_sharded, restart_fanout
 from .mesh import MeshPartition, MeshResult, anneal_mesh, partition_mesh
 from .pool import (
     DEFAULT_SHARDS,
@@ -46,7 +45,6 @@ from .shm import (
     SharedArena,
     SharedArray,
     SharedCSR,
-    SharedModel,
     SharedOperator,
     pickled_bytes,
     shm_available,
@@ -55,23 +53,19 @@ from .shm import (
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "EngineSpec",
     "MeshPartition",
     "MeshResult",
     "SharedArena",
     "SharedArray",
     "SharedCSR",
-    "SharedModel",
     "SharedOperator",
     "anneal_mesh",
     "expected_record_count",
-    "infer_batch_sharded",
     "parallel_map",
     "partition_mesh",
     "pickled_bytes",
     "resolve_num_shards",
     "resolve_start_method",
-    "restart_fanout",
     "run_batch_sharded",
     "shard_slices",
     "shard_task_bytes",

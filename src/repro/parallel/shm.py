@@ -1,9 +1,8 @@
 """Zero-copy shared-memory substrate for the parallel layer.
 
 The PR-4 process pool pickles every shard task whole: a sharded batched
-inference re-serializes the coupling matrix (inside the ``drift`` bound
-method or the :class:`~repro.parallel.engine.EngineSpec` model) once per
-shard, and every worker pickles its trajectory back.  That is
+circuit run re-serializes the coupling matrix (inside the ``drift`` bound
+method) once per shard, and every worker pickles its trajectory back.  That is
 ``O(shards x problem size)`` serialization and transient memory — the
 exact scaling wall the ROADMAP's big-n item names.
 
@@ -17,10 +16,10 @@ This module replaces both directions with ``multiprocessing.shared_memory``:
   It is a context manager: blocks are unlinked on exit, including the
   error path, so a worker crash mid-shard leaves no ``/dev/shm`` residue
   (pinned by ``tests/parallel/test_shm.py``).
-* :class:`SharedOperator` / :class:`SharedModel` are zero-copy recipes
-  for rebuilding a :class:`~repro.core.operators.CouplingOperator` or
-  :class:`~repro.core.model.DSGLModel` inside a worker *around the shared
-  buffers* — no copy, no re-validation (the parent already validated).
+* :class:`SharedOperator` is a zero-copy recipe for rebuilding a
+  :class:`~repro.core.operators.CouplingOperator` inside a worker *around
+  the shared buffers* — no copy, no re-validation (the parent already
+  validated).
 * Result slabs: callers preallocate output arrays through
   :meth:`SharedArena.empty` and workers write their shard's slice instead
   of returning pickled arrays.
@@ -58,7 +57,6 @@ __all__ = [
     "SharedArena",
     "SharedArray",
     "SharedCSR",
-    "SharedModel",
     "SharedOperator",
     "SharedOperatorMethod",
     "detach_task_attachments",
@@ -297,58 +295,6 @@ class SharedOperatorMethod:
         return getattr(self.shared.operator(), self.method)(*args, **kwargs)
 
 
-class SharedModel:
-    """Zero-copy recipe for a :class:`~repro.core.model.DSGLModel`.
-
-    The rebuilt model's arrays are read-only views into the parent's
-    blocks — sharing a model across workers is only sound because nothing
-    downstream mutates it, and the read-only flag turns any violation
-    into an immediate error instead of silent cross-worker corruption.
-    """
-
-    __slots__ = ("J", "h", "mean", "scale", "metadata", "_model")
-
-    def __init__(
-        self,
-        J: SharedArray,
-        h: SharedArray,
-        mean: SharedArray | None,
-        scale: SharedArray | None,
-        metadata: dict,
-    ):
-        self.J = J
-        self.h = h
-        self.mean = mean
-        self.scale = scale
-        self.metadata = metadata
-        self._model = None
-
-    def __reduce__(self):
-        return (
-            SharedModel,
-            (self.J, self.h, self.mean, self.scale, self.metadata),
-        )
-
-    def model(self):
-        """The rebuilt :class:`DSGLModel` (cached per process).
-
-        Construction bypasses ``__post_init__`` — symmetrization and
-        validation already ran in the parent, and re-running them would
-        copy the coupling matrix, defeating the zero-copy transport.
-        """
-        if self._model is None:
-            from ..core.model import DSGLModel
-
-            model = object.__new__(DSGLModel)
-            model.J = self.J.array
-            model.h = self.h.array
-            model.mean = None if self.mean is None else self.mean.array
-            model.scale = None if self.scale is None else self.scale.array
-            model.metadata = dict(self.metadata)
-            self._model = model
-        return self._model
-
-
 class SharedArena:
     """Owner of a family of shared-memory blocks (context manager).
 
@@ -439,16 +385,6 @@ class SharedArena:
             )
             self._operators[key] = shared
         return shared
-
-    def share_model(self, model) -> SharedModel:
-        """Share a :class:`DSGLModel`'s arrays (metadata rides along)."""
-        return SharedModel(
-            J=self.share(model.J),
-            h=self.share(model.h),
-            mean=None if model.mean is None else self.share(model.mean),
-            scale=None if model.scale is None else self.share(model.scale),
-            metadata=dict(model.metadata),
-        )
 
     def close(self) -> None:
         """Close the owner views and unlink every block (idempotent)."""

@@ -313,11 +313,13 @@ def bench_parallel_batch(
     repeats: int,
     seed: int = 0,
 ) -> dict:
-    """Serial vs multi-worker execution of one sharded batched inference.
+    """Serial vs multi-worker execution of one sharded batched circuit run.
 
-    Both sides run the *same* shard decomposition and per-shard RNG
-    streams (``shards`` is fixed to ``workers`` for both, and the shard
-    seeds derive from ``root_seed`` only), so the comparison isolates the
+    Times :meth:`CircuitSimulator.run_batch` with ``workers`` set, which
+    goes through :func:`repro.parallel.run_batch_sharded`.  Both sides
+    run the *same* shard decomposition and per-shard RNG streams
+    (``shards`` is fixed to ``workers`` for both, and the shard seeds
+    derive from ``root_seed`` only), so the comparison isolates the
     process fan-out: ``max_abs_diff`` must be exactly ``0.0`` — the
     parallel layer's bit-for-bit guarantee, measured rather than assumed.
     Speedup scales with physical cores; ``cpu_count`` is recorded so a
@@ -562,7 +564,7 @@ def _run_benchmark_suite(
         results.append(
             bench_equilibrium(n=1024, density=0.05, batch=batch, repeats=repeats)
         )
-        # The large batched-inference case: per-shard matvecs are sized so
+        # The large sharded run_batch case: per-shard matvecs are sized so
         # the pickle/fork overhead amortizes, which is when sharding pays.
         results.append(
             bench_parallel_batch(

@@ -4,9 +4,9 @@ Every benchmark in the repo used to integrate on a hand-picked fixed
 ``dt`` with hand-picked sync intervals and restart counts, paying
 worst-case step counts on problems that settle in a fraction of the
 budget.  This module searches annealing-path configurations — schedule
-shape, ``dt``/``rtol``, perturbation (sync) interval, restart count,
-shard count — against a *target accuracy*, measures each candidate's
-wall-clock latency, and records the equal-accuracy Pareto front.
+shape, ``dt``/``rtol``, perturbation (sync) interval, restart count —
+against a *target accuracy*, measures each candidate's wall-clock
+latency, and records the equal-accuracy Pareto front.
 
 Accuracy is always judged against an exact reference: the unique fixed
 point of the convex trained system (the equilibrium solve for the
@@ -47,7 +47,7 @@ __all__ = [
     "save_artifact",
 ]
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 # Accuracy slack a replay is allowed over the recorded target before it
 # counts as a miss (wall-clock jitter never moves accuracy, but noise
@@ -79,9 +79,6 @@ class TuneCandidate:
         sync_interval: Simulated ns between schedule kicks (circuit) /
             the inter-PE synchronization interval (DSPU).
         restarts: Best-of-K random restarts per sample (circuit).
-        shards: Shard count of the parallel fan-out (``None`` = serial
-            legacy path).
-        workers: Worker processes (``None`` = serial legacy path).
     """
 
     dt: float = 0.1
@@ -94,8 +91,6 @@ class TuneCandidate:
     kick: float = 0.05
     sync_interval: float = 10.0
     restarts: int = 1
-    shards: int | None = None
-    workers: int | None = None
 
     def integration_config(self) -> IntegrationConfig:
         """The :class:`IntegrationConfig` this candidate runs under."""
@@ -119,8 +114,6 @@ class TuneCandidate:
             bits.append(f"{self.schedule}@{self.sync_interval:g}ns")
         if self.restarts > 1:
             bits.append(f"restarts={self.restarts}")
-        if self.shards is not None or self.workers is not None:
-            bits.append(f"shards={self.shards}x{self.workers}")
         bits.append(f"T={self.duration:g}ns")
         return " ".join(bits)
 
@@ -179,12 +172,7 @@ class CircuitProblem:
         if candidate.restarts > 1:
             from ..faults import RestartPolicy
 
-            policy = RestartPolicy(
-                restarts=candidate.restarts,
-                seed=self.seed,
-                workers=candidate.workers,
-                shards=candidate.shards,
-            )
+            policy = RestartPolicy(restarts=candidate.restarts, seed=self.seed)
             return np.stack(
                 [
                     policy.infer(
@@ -194,11 +182,7 @@ class CircuitProblem:
                 ]
             )
         result = engine.infer_batch(
-            self.observed,
-            self.values,
-            duration=candidate.duration,
-            workers=candidate.workers,
-            shards=candidate.shards,
+            self.observed, self.values, duration=candidate.duration
         )
         return result.predictions
 
@@ -383,8 +367,6 @@ def build_grid(
     schedules: list[str] | None = None,
     sync_intervals: list[float] | None = None,
     restarts: list[int] | None = None,
-    shards: list[int] | None = None,
-    workers: int | None = None,
     kick: float = 0.05,
 ) -> list[TuneCandidate]:
     """The candidate grid the CLI searches.
@@ -392,10 +374,10 @@ def build_grid(
     The grid always contains the plain fixed-step baselines (every
     ``duration x dt``), then layers each requested dimension on top:
     adaptive (per ``rtol``), early-exit (per ``settle_tolerance``),
-    adaptive+early-exit, schedule shapes (per ``sync_interval``),
-    restart counts, and shard counts.  Dimensions combine with the
-    baseline rather than exhaustively with each other, keeping the grid
-    linear in the number of requested values.
+    adaptive+early-exit, schedule shapes (per ``sync_interval``) and
+    restart counts.  Dimensions combine with the baseline rather than
+    exhaustively with each other, keeping the grid linear in the number
+    of requested values.
     """
     candidates: list[TuneCandidate] = []
     for duration in durations:
@@ -432,10 +414,6 @@ def build_grid(
             for count in restarts or []:
                 if count > 1:
                     candidates.append(replace(base, restarts=count))
-            for shard_count in shards or []:
-                candidates.append(
-                    replace(base, shards=shard_count, workers=workers)
-                )
     # Deduplicate while preserving order (grids may overlap).
     seen: set[TuneCandidate] = set()
     unique: list[TuneCandidate] = []

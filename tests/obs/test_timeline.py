@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import NaturalAnnealingEngine, TrainingConfig, fit_precision
-from repro.core.dynamics import IntegrationConfig
+from repro.core.dynamics import CircuitSimulator, IntegrationConfig
+from repro.core.operators import CouplingOperator
 from repro.obs.timeline import analyze_records, format_timeline
-from repro.parallel.engine import infer_batch_sharded
+from repro.parallel import run_batch_sharded
 
 
 def _span(name, span_id, parent_id, start, duration, **attributes):
@@ -127,31 +127,30 @@ class TestFormatTimeline:
 
 
 class TestEndToEndStitching:
-    """Acceptance: a --workers 4 sharded run stitches with no orphans."""
+    """Acceptance: a workers=4 sharded run stitches with no orphans."""
 
     @pytest.fixture(scope="class")
     def sharded_trace(self, tmp_path_factory):
         rng = np.random.default_rng(7)
-        A = rng.normal(size=(10, 10)) * 0.4
-        samples = rng.multivariate_normal(
-            np.zeros(10), A @ A.T + np.eye(10), size=300
+        raw = rng.normal(size=(10, 10)) * 0.3
+        J = (raw + raw.T) / 2.0
+        np.fill_diagonal(J, 0.0)
+        operator = CouplingOperator(
+            J, -(np.abs(J).sum(axis=1) + 1.0), backend="dense"
         )
-        model = fit_precision(samples, TrainingConfig(ridge=1e-2))
-        engine = NaturalAnnealingEngine(
-            model,
+        simulator = CircuitSimulator(
             config=IntegrationConfig(
                 dt=0.05, record_every=8, node_noise_std=0.02
-            ),
-            seed=3,
+            )
         )
         path = tmp_path_factory.mktemp("timeline") / "trace.jsonl"
-        observed = np.array([0, 1, 2])
-        values = rng.normal(size=(8, 3))
+        sigma0 = rng.uniform(-1.0, 1.0, size=(8, operator.n))
         with obs.observe(trace_path=path) as (_metrics, tracer_):
             with tracer_.span("session"):
-                infer_batch_sharded(
-                    engine, observed, values,
-                    duration=2.0, workers=4, shards=4,
+                run_batch_sharded(
+                    simulator, operator.drift, sigma0, 2.0,
+                    energy=operator.energy, root_seed=3,
+                    workers=4, shards=4,
                 )
         return obs.read_trace(path)
 

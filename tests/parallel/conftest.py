@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import NaturalAnnealingEngine
 from repro.core.dynamics import CircuitSimulator, IntegrationConfig
 from repro.core.operators import CouplingOperator
 
@@ -32,26 +31,4 @@ def noisy_simulator():
     """A simulator with node noise active, so RNG equality is load-bearing."""
     return CircuitSimulator(
         config=IntegrationConfig(dt=0.05, record_every=4, node_noise_std=0.05)
-    )
-
-
-@pytest.fixture(scope="module")
-def engine(trained_model):
-    return NaturalAnnealingEngine(
-        trained_model,
-        config=IntegrationConfig(dt=0.05, record_every=8, node_noise_std=0.02),
-        seed=3,
-    )
-
-
-@pytest.fixture(scope="module")
-def early_exit_engine(trained_model):
-    """Noise-free early exit: the shards of ``TestEngineInference`` end at
-    different times (0.9, 0.9 and 1.05 ns)."""
-    return NaturalAnnealingEngine(
-        trained_model,
-        config=IntegrationConfig(
-            dt=0.05, record_every=8, early_exit=True, settle_check_every=3
-        ),
-        seed=3,
     )

@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs
 from repro.obs.trace import Tracer
-from repro.parallel.engine import infer_batch_sharded
+from repro.parallel import run_batch_sharded
 from repro.parallel.pool import START_METHOD_ENV
 
 
@@ -141,15 +141,18 @@ def _scrub(snapshot: dict) -> dict:
 
 
 class TestMergeDeterminism:
-    def _run(self, engine, workers, tmp_path, label):
+    def _run(self, simulator, operator, workers, tmp_path, label):
         rng = np.random.default_rng(21)
-        observed = np.arange(4)
-        values = rng.normal(size=(6, 4))
+        sigma0 = rng.uniform(-1.0, 1.0, size=(6, operator.n))
+        clamp_index = np.arange(4)
+        clamp_value = rng.normal(size=(6, 4))
         path = tmp_path / f"{label}.jsonl"
         with obs.observe(trace_path=path) as (metrics_, tracer_):
-            result = infer_batch_sharded(
-                engine, observed, values,
-                duration=2.0, workers=workers, shards=4,
+            result = run_batch_sharded(
+                simulator, operator.drift, sigma0, 2.0,
+                clamp_index=clamp_index, clamp_value=clamp_value,
+                energy=operator.energy, root_seed=3,
+                workers=workers, shards=4,
             )
             snapshot = metrics_.snapshot()
             spans = [
@@ -159,7 +162,8 @@ class TestMergeDeterminism:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_merged_obs_identical_across_worker_counts(
-        self, engine, tmp_path, monkeypatch, start_method
+        self, noisy_simulator, small_operator, tmp_path, monkeypatch,
+        start_method,
     ):
         import multiprocessing
 
@@ -169,7 +173,8 @@ class TestMergeDeterminism:
 
         runs = {
             workers: self._run(
-                engine, workers, tmp_path, f"{start_method}-{workers}"
+                noisy_simulator, small_operator, workers, tmp_path,
+                f"{start_method}-{workers}",
             )
             for workers in (1, 2, 4)
         }
@@ -177,7 +182,7 @@ class TestMergeDeterminism:
         for workers in (2, 4):
             result, metrics_, spans = runs[workers]
             assert np.array_equal(
-                serial_result.predictions, result.predictions
+                serial_result.states, result.states
             ), f"workers={workers} changed bits"
             assert metrics_ == serial_metrics, (
                 f"workers={workers} ({start_method}) changed merged "
@@ -187,7 +192,9 @@ class TestMergeDeterminism:
                 f"workers={workers} ({start_method}) changed span order"
             )
 
-    def test_fork_and_spawn_agree(self, engine, tmp_path, monkeypatch):
+    def test_fork_and_spawn_agree(
+        self, noisy_simulator, small_operator, tmp_path, monkeypatch
+    ):
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -196,7 +203,8 @@ class TestMergeDeterminism:
         for start_method in ("fork", "spawn"):
             monkeypatch.setenv(START_METHOD_ENV, start_method)
             outcomes[start_method] = self._run(
-                engine, 2, tmp_path, f"agree-{start_method}"
+                noisy_simulator, small_operator, 2, tmp_path,
+                f"agree-{start_method}",
             )
         _, fork_metrics, fork_spans = outcomes["fork"]
         _, spawn_metrics, spawn_spans = outcomes["spawn"]

@@ -58,6 +58,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs", "summarize"])
 
+    def test_workers_only_on_bench(self):
+        parser = build_parser()
+        assert parser.parse_args(["bench", "--workers", "2"]).workers == 2
+        for argv in (
+            ["train", "o3", "--workers", "2"],
+            ["tune", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
 
 class TestCommands:
     def test_datasets_lists_all(self, capsys):

@@ -45,7 +45,7 @@ class TestSearchMode:
 
     def test_smoke_search_writes_artifact(self, tmp_path, capsys):
         artifact = self._search(tmp_path)
-        assert artifact["version"] == 1
+        assert artifact["version"] == 2
         assert artifact["problem"]["kind"] == "circuit"
         assert artifact["front"]
         assert artifact["met_target"]

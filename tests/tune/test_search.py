@@ -29,7 +29,7 @@ class TestTuneCandidate:
         candidate = TuneCandidate(
             dt=0.05, adaptive=True, rtol=1e-5, early_exit=True,
             settle_tolerance=1e-8, duration=25.0, schedule="cosine",
-            sync_interval=5.0, restarts=3, shards=2, workers=2,
+            sync_interval=5.0, restarts=3,
         )
         assert TuneCandidate.from_dict(candidate.to_dict()) == candidate
 
@@ -67,12 +67,10 @@ class TestBuildGrid:
             schedules=["cosine"],
             sync_intervals=[5.0],
             restarts=[1, 3],
-            shards=[2],
-            workers=2,
         )
         # 1 baseline + 2 adaptive + 1 early-exit + 2 adaptive×early-exit
-        # + 1 schedule + 1 restart (count 1 is skipped) + 1 sharded.
-        assert len(grid) == 9
+        # + 1 schedule + 1 restart (count 1 is skipped).
+        assert len(grid) == 8
         assert len(set(grid)) == len(grid)
 
     def test_deduplicates_overlapping_dimensions(self):
@@ -122,7 +120,7 @@ class TestEvaluateAndSearch:
             durations=[20.0, 50.0], dts=[0.1], settle_tolerances=[1e-8]
         )
         artifact = search(problem, grid, target_error=1e-3, repeats=1)
-        assert artifact["version"] == 1
+        assert artifact["version"] == 2
         assert artifact["problem"]["kind"] == "circuit"
         assert len(artifact["rows"]) == len(grid)
         assert artifact["front"]
@@ -161,6 +159,32 @@ class TestArtifactRoundtrip:
         assert row["met_target"]
         assert row["target_error"] == 1e-3
 
+    def test_version_1_artifact_is_rejected_and_fresh_one_replays(
+        self, problem, tmp_path
+    ):
+        """Version 1 stored the removed ``shards``/``workers`` candidate
+        fields; loading one fails on its version, not on the fields."""
+        artifact = search(
+            problem, [TuneCandidate(dt=0.1, duration=20.0)],
+            target_error=1e-3, repeats=1,
+        )
+        fresh = tmp_path / "fresh.json"
+        save_artifact(str(fresh), artifact)
+        assert replay(load_artifact(str(fresh)), repeats=1)["met_target"]
+        old = dict(artifact, version=1)
+        old["best"] = dict(
+            artifact["best"],
+            candidate=dict(
+                artifact["best"]["candidate"], shards=None, workers=None
+            ),
+        )
+        stale = tmp_path / "v1.json"
+        save_artifact(str(stale), old)
+        with pytest.raises(
+            ValueError, match="unsupported tune artifact version 1"
+        ):
+            load_artifact(str(stale))
+
     def test_load_rejects_bad_version(self, tmp_path):
         path = tmp_path / "bad.json"
         save_artifact(str(path), {"version": 99})
@@ -169,7 +193,7 @@ class TestArtifactRoundtrip:
 
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "partial.json"
-        save_artifact(str(path), {"version": 1, "problem": {}})
+        save_artifact(str(path), {"version": 2, "problem": {}})
         with pytest.raises(ValueError, match="target_error"):
             load_artifact(str(path))
 
@@ -206,14 +230,6 @@ class TestProblemEvaluations:
         row = evaluate_candidate(
             problem,
             TuneCandidate(dt=0.1, duration=20.0, restarts=2),
-            repeats=1,
-        )
-        assert np.isfinite(row["error"])
-
-    def test_sharded_candidate_runs(self, problem):
-        row = evaluate_candidate(
-            problem,
-            TuneCandidate(dt=0.1, duration=20.0, shards=2, workers=1),
             repeats=1,
         )
         assert np.isfinite(row["error"])
