@@ -123,6 +123,32 @@ class TestRestartPolicy:
         assert np.array_equal(a.state, b.state)
         assert np.array_equal(a.energies, b.energies)
 
+    def test_is_one_batched_inference(self, trained_model):
+        """The restart pool is one ``infer_batch`` over ``restarts`` copies
+        of the sample, drawing initial states and noise from the policy's
+        seed; the lowest-energy member wins."""
+        engine = NaturalAnnealingEngine(
+            trained_model,
+            config=IntegrationConfig(dt=0.05, node_noise_std=0.02),
+        )
+        observed = np.arange(3)
+        values = np.array([0.4, -1.1, 0.7])
+        outcome = RestartPolicy(restarts=5, seed=13).infer(
+            engine, observed, values, duration=5.0
+        )
+        batch = engine.infer_batch(
+            observed, np.repeat(values[None, :], 5, axis=0), duration=5.0,
+            rng=np.random.default_rng(13),
+        )
+        energies = engine.operator.energy(batch.states)
+        assert np.array_equal(outcome.energies, energies)
+        # A non-default member wins here, so the selection is load-bearing.
+        assert outcome.best_index == int(np.argmin(energies)) > 0
+        assert np.array_equal(outcome.state, batch.states[outcome.best_index])
+        assert np.array_equal(
+            outcome.prediction, batch.predictions[outcome.best_index]
+        )
+
     def test_recovers_after_divergence(self, trained_model):
         engine = _FlakyEngine(NaturalAnnealingEngine(trained_model), 1)
         policy = RestartPolicy(restarts=2, max_retries=2, seed=0)
