@@ -66,15 +66,23 @@ def test_energy_probe_off_costs_nothing_smoke():
     observed = np.arange(32)
     values = np.zeros((8, 32))
 
-    def timing(config):
+    def workload(config):
         engine = NaturalAnnealingEngine(model, config=config, backend="dense")
 
         def run():
             engine.infer_batch(observed, values, duration=20.0)
 
         run()
-        return _best_of_ms(run, 15)
+        return run
 
-    plain_ms = timing(IntegrationConfig())
-    probed_ms = timing(IntegrationConfig(energy_probe_every=10))
-    assert probed_ms < plain_ms * 1.05
+    plain = workload(IntegrationConfig())
+    probed = workload(IntegrationConfig(energy_probe_every=10))
+    # Interleave round by round, as above, so host drift hits both sides.
+    plain_samples, probed_samples = [], []
+    for _round in range(15):
+        plain_samples.append(_best_of_ms(plain, 1))
+        probed_samples.append(_best_of_ms(probed, 1))
+    plain_ms, probed_ms = min(plain_samples), min(probed_samples)
+    assert probed_ms < plain_ms * 1.05, (
+        f"probe-off {probed_ms:.3f} ms vs plain {plain_ms:.3f} ms"
+    )

@@ -24,7 +24,10 @@ and forcing couplings per clamp set (and spatial-only flag), and the
 ``expm`` propagators and forcing integrals per clamp set and interval.  A
 latency sweep or a run of prediction windows thus reuses one build.
 Coupler noise and fault injection perturb each call's couplings, so those
-calls build afresh and leave the cache untouched.
+calls build afresh and leave the cache untouched.  Every build runs with
+numpy's and scipy's bundled OpenBLAS pools held at one thread each: the
+free-node blocks are small, and two spinning 2-thread pools cost several
+times the arithmetic (EXPERIMENTS.md).
 
 Physical timescale: trained parameters are conductances up to an arbitrary
 global scale (scaling ``J`` and ``h`` together leaves the fixed point
@@ -35,12 +38,18 @@ nanoseconds like the paper's circuit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import logging
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import sparse as sp
 from scipy.linalg import expm
 
@@ -64,6 +73,59 @@ SPARSE_AUTO_MIN_NODES = 128
 
 #: Largest growth exponent of one phase over one control interval.
 GROWTH_CAP = 30.0
+
+#: The OpenBLAS builds bundled in the numpy and scipy wheels: the package,
+#: the library's file pattern in ``<package>.libs/`` and the suffix of its
+#: exported thread-count functions.
+_BUNDLED_OPENBLAS = (
+    (np, "libscipy_openblas64_*.so", "64_"),
+    (scipy, "libscipy_openblas*.so", ""),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of each bundled OpenBLAS.
+
+    Resolved once through ctypes on the libraries numpy and scipy already
+    loaded; empty when neither wheel bundles one (e.g. a system BLAS).
+    """
+    controls = []
+    for package, pattern, suffix in _BUNDLED_OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        libs = os.path.join(site, f"{package.__name__}.libs")
+        symbol = "scipy_openblas_{}_num_threads" + suffix
+        for path in sorted(glob.glob(os.path.join(libs, pattern))):
+            try:
+                library = ctypes.CDLL(path)
+                get = getattr(library, symbol.format("get"))
+                set_ = getattr(library, symbol.format("set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every bundled OpenBLAS at one thread for the block.
+
+    Yields the thread count in effect (1), or ``None`` when no library was
+    found and nothing changed.  The previous counts come back on exit,
+    also when the block raises.  The setting is process-wide, so the
+    block must not hand BLAS work to another thread.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _set in controls]
+    for _get, set_threads in controls:
+        set_threads(1)
+    try:
+        yield 1 if controls else None
+    finally:
+        for (_get, set_threads), count in zip(controls, previous):
+            set_threads(count)
 
 
 def _pairs_matrix(
@@ -181,9 +243,10 @@ def _interval_stage(stage: _ClampStage, interval: float) -> _IntervalStage:
     whenever the rotation already contracts).
 
     The forcing integrals are computed once, for the final matrices.
-    Work is grouped by library (every ``expm``, then numpy) because numpy
-    and scipy each bundle an OpenBLAS, and interleaving calls into the
-    two thread pools costs several times the arithmetic (EXPERIMENTS.md).
+    The order of numpy and scipy calls does not matter for speed: numpy
+    and scipy each bundle an OpenBLAS, and the build runs with both held
+    at one thread (:func:`_one_blas_thread`), so neither pool spins
+    against the other when calls interleave (EXPERIMENTS.md).
     """
     phases, m, _m = stage.blocks.shape
     if m == 0:
@@ -404,7 +467,9 @@ class ScalableDSPU:
         (ripple filtering).
 
         The ``dspu.anneal`` span's ``propagators`` attribute records
-        whether the cached propagator builds were reused.
+        whether the cached propagator builds were reused, and a call that
+        built records the BLAS thread count of its build in
+        ``blas_threads``.
 
         Args:
             observed_index: Clamped (observed) node indices: in range and
@@ -530,27 +595,30 @@ class ScalableDSPU:
                 obs.tracer().event(
                     "faults.injected", where="dspu", **faults.summary()
                 )
-            clamp_stage, interval_stage, source = self._propagators(
-                observed_index, free_dyn, clamp_index, interval,
-                force_spatial_only, faults, coupler_noise,
+            clamp_stage, interval_stage, source, blas_threads = (
+                self._propagators(
+                    observed_index, free_dyn, clamp_index, interval,
+                    force_spatial_only, faults, coupler_noise,
+                )
             )
             span.set("propagators", source)
+            if blas_threads is not None:
+                span.set("blas_threads", blas_threads)
             span.set("rotation_radius", interval_stage.rotation_radius)
             span.set("damping_delta", interval_stage.damping_delta)
-            propagators = interval_stage.propagators
-            # The clamped-node forcing of each phase is constant across the
+            # The clamped-node drive of each phase is constant across the
             # whole run, so it is computed once instead of per interval.
-            forcing = [
-                np.asarray(coupling @ clamp_value)
-                for coupling in clamp_stage.couplings
+            phis = [phi for phi, _integral in interval_stage.propagators]
+            drives = [
+                integral @ np.asarray(coupling @ clamp_value)
+                for (_phi, integral), coupling in zip(
+                    interval_stage.propagators, clamp_stage.couplings
+                )
             ]
 
             def propagate(phase: int, state: np.ndarray) -> np.ndarray:
-                phi, integral = propagators[phase]
                 out = state.copy()
-                out[free_dyn] = (
-                    phi @ state[free_dyn] + integral @ forcing[phase]
-                )
+                out[free_dyn] = phis[phase] @ state[free_dyn] + drives[phase]
                 return out
 
             skip_mask = faults.sync_skip_mask(num_intervals)
@@ -682,13 +750,15 @@ class ScalableDSPU:
         force_spatial_only: bool,
         faults: FaultScenario | NullFaultScenario,
         coupler_noise: np.ndarray | None,
-    ) -> tuple[_ClampStage, _IntervalStage, str]:
+    ) -> tuple[_ClampStage, _IntervalStage, str, int | None]:
         """Both propagator stages of one call, through the cache slots.
 
-        Returns the two stages and where they came from: ``"hit"`` (both
+        Returns the two stages, where they came from — ``"hit"`` (both
         slots matched), ``"interval"`` (the clamp-set slot matched and the
         interval stage was rebuilt), ``"built"`` (both rebuilt), or
-        ``"bypass"`` (perturbed couplings: both built, slots untouched).
+        ``"bypass"`` (perturbed couplings: both built, slots untouched) —
+        and the BLAS thread count the build ran at (``None`` on a hit, or
+        when no bundled OpenBLAS was found).
         """
         registry = obs.metrics()
         cacheable = coupler_noise is None and not faults.enabled
@@ -698,8 +768,11 @@ class ScalableDSPU:
         # slot, so a matching interval key implies a matching clamp key.
         if cacheable and self._interval_slot[0] == interval_key:
             registry.counter("dspu.propagator_hits").inc()
-            return self._clamp_slot[1], self._interval_slot[1], "hit"
-        with registry.timer("dspu.build_propagators_ms"):
+            return self._clamp_slot[1], self._interval_slot[1], "hit", None
+        with (
+            registry.timer("dspu.build_propagators_ms"),
+            _one_blas_thread() as blas_threads,
+        ):
             if cacheable and self._clamp_slot[0] == clamp_key:
                 clamp_stage, source = self._clamp_slot[1], "interval"
             else:
@@ -715,7 +788,7 @@ class ScalableDSPU:
         registry.counter("dspu.propagator_builds").inc()
         if interval_stage.damping_delta:
             registry.counter("dspu.damped_builds").inc()
-        return clamp_stage, interval_stage, source
+        return clamp_stage, interval_stage, source, blas_threads
 
     def _live_matrices(
         self,

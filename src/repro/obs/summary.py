@@ -168,6 +168,15 @@ def _adaptive_path_lines(counters: dict) -> list[str]:
     return lines
 
 
+def _dspu_mapping_line(counters: dict) -> list[str]:
+    """DSPU mappings the experiment context built, and copies it reused."""
+    built = counters.get("experiments.dspu_maps") or 0
+    reused = counters.get("experiments.dspu_map_reuses") or 0
+    if not built + reused:
+        return []
+    return [f"DSPU mappings: {built} built, {reused} reused"]
+
+
 def _propagator_cache_line(counters: dict) -> list[str]:
     """Share of DSPU anneal calls that reused cached propagators."""
     hits = counters.get("dspu.propagator_hits") or 0
@@ -248,8 +257,8 @@ def format_metrics(snapshot: dict) -> str:
     hit rate, the shared-memory transport summary (bytes shared vs bytes
     pickled, attach/detach balance), mesh halo-exchange volume, the
     annealing-path efficiency of adaptive/early-exit integrations
-    (member-step savings, step acceptance rate), and the DSPU
-    propagator-cache hit rate.
+    (member-step savings, step acceptance rate), the DSPU mappings built
+    and reused, and the DSPU propagator-cache hit rate.
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []
@@ -284,6 +293,7 @@ def format_metrics(snapshot: dict) -> str:
         derived.append(f"LU-cache hit rate: {100.0 * rate:.1f}%")
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
+    derived.extend(_dspu_mapping_line(counters))
     derived.extend(_propagator_cache_line(counters))
     if derived:
         lines.append("")

@@ -140,3 +140,29 @@ class TestFormatting:
             {"counters": {"circuit.steps": 100}, "gauges": {}, "histograms": {}}
         )
         assert "DSPU propagators" not in text
+
+    def test_format_metrics_dspu_mapping_line_next_to_propagators(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "experiments.dspu_maps": 4,
+                    "experiments.dspu_map_reuses": 28,
+                    "dspu.propagator_builds": 32,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        lines = text.splitlines()
+        mapping = lines.index("DSPU mappings: 4 built, 28 reused")
+        assert lines[mapping + 1].startswith("DSPU propagators: ")
+
+    def test_format_metrics_without_mappings_has_no_mapping_line(self):
+        text = format_metrics(
+            {
+                "counters": {"dspu.propagator_builds": 3},
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        assert "DSPU mappings" not in text

@@ -1,16 +1,21 @@
 """Golden-file regression tests of the user-facing report surfaces.
 
-Two fixed-seed toy problems are pinned against committed outputs in
-``tests/golden/``:
+These outputs are pinned against committed files in ``tests/golden/``:
 
 * the ``repro faults sweep`` payload (schema exactly, float values to a
-  BLAS-tolerant relative tolerance), and
+  BLAS-tolerant relative tolerance);
 * the ``repro obs summarize`` report over a committed trace JSONL
-  fixture — pure text aggregation, so the comparison is byte-exact.
+  fixture — pure text aggregation, so the comparison is byte-exact;
+* the stdout of ``repro figure 11 --size small`` and ``repro figure 12
+  --size small`` (the paper pipeline end to end: dataset, training,
+  decomposition, DSPU mapping, co-annealing, readout RMSE), byte-exact.
+  Regenerate them from the repository root with
+  ``PYTHONPATH=src python -m repro figure N --size small`` for N = 11
+  and 12, redirected to ``tests/golden/figureN_small.txt``.
 
-Regenerate deliberately (after verifying a change is intended) by
-re-running the builders at the bottom of this module's docstrings; a
-silent drift in either surface is a regression, not noise.
+Regenerate deliberately (after verifying a change is intended) with the
+commands above or the expression each test names for its file; a
+silent drift in any surface is a regression, not noise.
 """
 
 import json
@@ -142,3 +147,13 @@ class TestObsSummarizeGolden:
         out = capsys.readouterr().out
         assert "LU-cache hit rate: 75.0%" in out
         assert "circuit.run_batch" in out
+
+
+class TestFigureGolden:
+    """The paper's co-annealing curves at small size, byte for byte."""
+
+    @pytest.mark.parametrize("number", [11, 12])
+    def test_stdout_matches_golden_exactly(self, number, capsys):
+        assert main(["figure", str(number), "--size", "small"]) == 0
+        expected = (GOLDEN / f"figure{number}_small.txt").read_text()
+        assert capsys.readouterr().out == expected
