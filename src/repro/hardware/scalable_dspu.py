@@ -24,7 +24,17 @@ and forcing couplings per clamp set (and spatial-only flag), and the
 ``expm`` propagators and forcing integrals per clamp set and interval.  A
 latency sweep or a run of prediction windows thus reuses one build.
 Coupler noise and fault injection perturb each call's couplings, so those
-calls build afresh and leave the cache untouched.  Every build runs with
+calls build afresh and leave the cache untouched.
+
+A build reads only the free-node rows of the live matrices, so it builds
+only those rows: the duty-boosted phases are stored as one stacked
+``(phases * n, n)`` matrix, and one slice of it and of the always-live
+part, the coupler noise on those entries alone, and one sum give every
+phase's rows at once.  Those rows split into the dense free-node blocks
+and one stacked forcing coupling, so each call computes every phase's
+clamped-node drive with one product.  The growth bounds are Gershgorin
+bounds, and an exact eigenvalue is computed only for a phase whose bound
+comes within a factor of two of the per-phase cap.  Every build runs with
 numpy's and scipy's bundled OpenBLAS pools held at one thread each: the
 free-node blocks are small, and two spinning 2-thread pools cost several
 times the arithmetic (EXPERIMENTS.md).
@@ -183,11 +193,42 @@ def _forcing_integral(B: np.ndarray, t: float, phi: np.ndarray) -> np.ndarray:
     return expm(augmented)[:m, m:]
 
 
-def _submatrix(A, rows: np.ndarray, cols: np.ndarray):
-    """``A[rows, cols]`` block for dense or CSR storage."""
-    if sp.issparse(A):
-        return A[rows][:, cols]
-    return A[np.ix_(rows, cols)]
+def _scale_entries(matrix, factor: np.ndarray):
+    """``matrix`` times ``factor`` entry by entry, repeated down a stack.
+
+    A dense ``(m, n)`` or ``(phases, m, n)`` matrix broadcasts.  A CSR
+    ``(phases * m, n)`` matrix scales row ``r`` by row ``r % m`` of
+    ``factor`` and keeps its sparsity pattern and entry order.
+    """
+    if not sp.issparse(matrix):
+        return matrix * factor
+    row = np.repeat(
+        np.arange(matrix.shape[0]) % factor.shape[0], np.diff(matrix.indptr)
+    )
+    return sp.csr_matrix(
+        (matrix.data * factor[row, matrix.indices], matrix.indices,
+         matrix.indptr),
+        shape=matrix.shape,
+    )
+
+
+def _gershgorin_bounds(blocks: np.ndarray) -> np.ndarray:
+    """Upper bound on the top eigenvalue of each block's symmetric part.
+
+    Gershgorin's circle theorem: every eigenvalue of a symmetric ``S``
+    lies below ``max_i (S_ii + sum_{j != i} |S_ij|)``.  Here
+    ``S = (B + B^T) / 2``; the halving is exact, so it is applied once to
+    the row sums, and one array is reused for every step.
+    """
+    twice_off = blocks + blocks.transpose(0, 2, 1)
+    np.abs(twice_off, out=twice_off)
+    index = np.arange(blocks.shape[1])
+    twice_off[:, index, index] = 0.0
+    diagonal = np.diagonal(blocks, axis1=1, axis2=2)
+    # ``initial`` only matters for an empty free set (no eigenvalues).
+    return (diagonal + twice_off.sum(axis=2) / 2.0).max(
+        axis=1, initial=-np.inf
+    )
 
 
 @dataclass(frozen=True)
@@ -195,8 +236,10 @@ class _ClampStage:
     """Interval-independent half of a propagator build, for one clamp set."""
 
     blocks: np.ndarray  # (phases, m, m) dense free-node blocks A_p[free, free]
-    bounds: np.ndarray  # top eigenvalue of each block's symmetric part
-    couplings: list  # forcing couplings A_p[free, clamp] of each phase
+    bounds: np.ndarray  # Gershgorin bound on each block's top growth rate
+    # Forcing couplings A_p[free, clamp] of every phase: a contiguous dense
+    # (phases, m, c) stack or one (phases * m, c) CSR matrix.
+    coupling: np.ndarray | sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -206,26 +249,69 @@ class _IntervalStage:
     propagators: list[tuple[np.ndarray, np.ndarray]]
     rotation_radius: float  # of the capped, undamped rotation map
     damping_delta: float  # uniform damping applied, per ns; 0.0 if none
+    capped_phases: int  # phases whose growth ``GROWTH_CAP`` capped
+    exact_bounds: int  # phases whose exact top eigenvalue was computed
 
 
 def _clamp_stage(
-    A_live: list, free: np.ndarray, clamp: np.ndarray
+    A_local,
+    A_inter,
+    free: np.ndarray,
+    clamp: np.ndarray,
+    faults: FaultScenario | NullFaultScenario = NO_FAULTS,
+    coupler_noise: np.ndarray | None = None,
 ) -> _ClampStage:
     """Free-node blocks, growth bounds and forcing couplings of each phase.
 
-    The matrix exponential is inherently dense, so only the reduced
-    free-node block is densified — never the full ``(n, n)`` system.  All
-    growth bounds come from one stacked ``eigvalsh`` call.
+    Phase ``p`` lives ``A_local + A_inter[p*n:(p+1)*n]``: ``A_inter``
+    stacks the phases' inter-PE matrices as one ``(phases * n, n)``
+    matrix, dense or CSR like ``A_local``.  Only the free rows of a live
+    matrix are ever read, so only they are built: one slice of each
+    operand, the coupler noise on those entries alone, and one sum that
+    yields every phase's ``(m, n)`` rows at once.  The matrix exponential
+    is inherently dense, so only the free-node blocks are densified —
+    never an ``(n, n)`` system.
     """
-    blocks = np.empty((len(A_live), free.size, free.size))
-    for p, A in enumerate(A_live):
-        block = _submatrix(A, free, free)
-        blocks[p] = block.toarray() if sp.issparse(block) else block
-    symmetric = (blocks + blocks.transpose(0, 2, 1)) / 2.0
-    # ``initial`` only matters for an empty free set (no eigenvalues).
-    bounds = np.linalg.eigvalsh(symmetric).max(axis=1, initial=-np.inf)
-    couplings = [_submatrix(A, free, clamp) for A in A_live]
-    return _ClampStage(blocks, bounds, couplings)
+    n = A_local.shape[0]
+    phases = A_inter.shape[0] // n
+    sparse = sp.issparse(A_local)
+    if faults.affects_coupling:
+        # Fault offsets scale with the mean programmed magnitude of the
+        # matrix they hit, so every full matrix is faulted before slicing.
+        A_local = faults.apply_coupling(A_local)
+        faulted = [
+            faults.apply_coupling(A_inter[p * n:(p + 1) * n])
+            for p in range(phases)
+        ]
+        A_inter = (
+            sp.vstack(faulted, format="csr") if sparse
+            else np.concatenate(faulted)
+        )
+    m = free.size
+    local = A_local[free]
+    inter = (
+        A_inter[(np.arange(phases)[:, None] * n + free).ravel()] if sparse
+        else A_inter.reshape(phases, n, n)[:, free]
+    )
+    if coupler_noise is not None:
+        noise = coupler_noise[free]
+        # The self-reaction resistor is inside the node, not a coupler:
+        # its conductance keeps the nominal value (x * 1.0 == x exactly).
+        nominal = noise.copy()
+        nominal[np.arange(m), free] = 1.0
+        local = _scale_entries(local, nominal)
+        inter = _scale_entries(inter, noise)
+    if sparse:
+        live = sp.vstack([local] * phases, format="csr") + inter
+        blocks = live[:, free].toarray().reshape(phases, m, m)
+        coupling = live[:, clamp]
+    else:
+        live = local + inter
+        blocks = np.take(live, free, axis=2)
+        # ``take`` returns a C-contiguous stack, so each phase's forcing
+        # product runs the same BLAS gemv as on its own (m, c) block.
+        coupling = np.take(live, clamp, axis=2)
+    return _ClampStage(blocks, _gershgorin_bounds(blocks), coupling)
 
 
 def _interval_stage(stage: _ClampStage, interval: float) -> _IntervalStage:
@@ -242,6 +328,15 @@ def _interval_stage(stage: _ClampStage, interval: float) -> _IntervalStage:
     dynamics is the smallest that stabilizes the orbit (and is zero
     whenever the rotation already contracts).
 
+    The cap applies where a block's top growth rate (the top eigenvalue
+    of its symmetric part) exceeds ``GROWTH_CAP / interval``, and shifts
+    the block by the excess.  The clamp stage's Gershgorin bounds gate
+    the exact rate: one stacked ``eigvalsh`` runs only over the phases
+    whose bound exceeds *half* the limit.  A block bounded below half the
+    limit cannot reach it, and the factor of two keeps rounding in the
+    bound from ever flipping the decision, so every phase is capped
+    exactly as exact bounds on all phases would cap it.
+
     The forcing integrals are computed once, for the final matrices.
     The order of numpy and scipy calls does not matter for speed: numpy
     and scipy each bundle an OpenBLAS, and the build runs with both held
@@ -251,12 +346,19 @@ def _interval_stage(stage: _ClampStage, interval: float) -> _IntervalStage:
     phases, m, _m = stage.blocks.shape
     if m == 0:
         empty = np.zeros((0, 0))
-        return _IntervalStage([(empty, empty)] * phases, 0.0, 0.0)
+        return _IntervalStage([(empty, empty)] * phases, 0.0, 0.0, 0, 0)
     identity = np.eye(m)
-    capped = []
-    for B, bound in zip(stage.blocks, stage.bounds):
-        excess = bound - GROWTH_CAP / interval
-        capped.append(B - excess * identity if excess > 0 else B)
+    limit = GROWTH_CAP / interval
+    exact = np.flatnonzero(stage.bounds > limit / 2.0)
+    excess = np.zeros(phases)
+    if exact.size:
+        blocks = stage.blocks[exact]
+        symmetric = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+        excess[exact] = np.linalg.eigvalsh(symmetric).max(axis=1) - limit
+    capped = [
+        B - e * identity if e > 0 else B
+        for B, e in zip(stage.blocks, excess)
+    ]
     phis = [expm(B * interval) for B in capped]
     rotation = identity
     for phi in phis:
@@ -271,7 +373,11 @@ def _interval_stage(stage: _ClampStage, interval: float) -> _IntervalStage:
         (phi, _forcing_integral(B, interval, phi))
         for B, phi in zip(capped, phis)
     ]
-    return _IntervalStage(propagators, radius, delta)
+    return _IntervalStage(
+        propagators, radius, delta,
+        capped_phases=int(np.count_nonzero(excess > 0)),
+        exact_bounds=int(exact.size),
+    )
 
 
 @dataclass
@@ -372,7 +478,7 @@ class ScalableDSPU:
         rates = np.abs(np.linalg.eigvalsh((A_raw + A_raw.T) / 2.0))
         fastest = float(rates.max()) if rates.size else 1.0
         self.time_scale = 1.0 / (fastest * node_time_constant_ns)
-        self._A = A_raw * self.time_scale  # dsigma/dt = A sigma (free part)
+        A = A_raw * self.time_scale  # dsigma/dt = A sigma (free part)
 
         # Split the dynamics into the always-live part (intra-PE plus the
         # self-reaction) and per-phase inter-PE parts.
@@ -383,29 +489,33 @@ class ScalableDSPU:
         crossing = pe_of[rows_nz] != pe_of[cols_nz]
         inter_mask[rows_nz[crossing], cols_nz[crossing]] = True
         sparse = self.backend == "sparse"
-
-        def _store(dense: np.ndarray):
-            return sp.csr_matrix(dense) if sparse else dense
-
-        self._A_local = _store(np.where(inter_mask, 0.0, self._A))
-        self._A_inter_phase: list = []
-        self._A_inter_boosted: list = []
+        local = np.where(inter_mask, 0.0, A)
+        self._A_local = sp.csr_matrix(local) if sparse else local
+        boosted: list = []
         for phase in range(self.schedule.num_phases):
-            live: list[tuple[int, int, float]] = []
-            boosted: list[tuple[int, int, float]] = []
+            pairs: list[tuple[int, int, float]] = []
             for a in self.schedule.active_in_phase(phase):
-                weight = self._A[a.node_a, a.node_b]
-                live.append((a.node_a, a.node_b, weight))
                 # Duty-cycle compensation: a coupler time-shared by s
                 # slices conducts for 1/s of the time, so its programmed
                 # conductance is scaled by s — the time-averaged coupling
                 # then equals the trained parameter (Weight Select swaps
                 # the stronger value in at switch time).
                 s = self.schedule.slices_per_cu[a.cu]
-                boosted.append((a.node_a, a.node_b, weight * s))
-            self._A_inter_phase.append(_pairs_matrix(live, n, sparse))
-            self._A_inter_boosted.append(_pairs_matrix(boosted, n, sparse))
-        self._A_inter_total = _store(np.where(inter_mask, self._A, 0.0))
+                pairs.append((a.node_a, a.node_b, A[a.node_a, a.node_b] * s))
+            boosted.append(_pairs_matrix(pairs, n, sparse))
+        # Every boosted phase in one (phases * n, n) stack.
+        self._A_inter_boosted = (
+            sp.vstack(boosted, format="csr") if sparse
+            else np.concatenate(boosted)
+        )
+        # Phase 0 without compensation: the DS-GL-Spatial design point.
+        self._A_inter_spatial = _pairs_matrix(
+            [
+                (a.node_a, a.node_b, A[a.node_a, a.node_b])
+                for a in self.schedule.active_in_phase(0)
+            ],
+            n, sparse,
+        )
         # (key, stage) of the last noise-free, fault-free build per stage.
         self._clamp_slot = self._interval_slot = (None, None)
 
@@ -467,9 +577,14 @@ class ScalableDSPU:
         (ripple filtering).
 
         The ``dspu.anneal`` span's ``propagators`` attribute records
-        whether the cached propagator builds were reused, and a call that
+        whether the cached propagator builds were reused.  A call that
         built records the BLAS thread count of its build in
-        ``blas_threads``.
+        ``blas_threads``, the phases the growth cap shifted in
+        ``capped_phases``, and the phases whose exact top eigenvalue the
+        cap gate computed in ``exact_bounds``.  With metrics enabled, the
+        span's ``clipped_intervals`` counts the control intervals in which
+        the ±rail clip moved a free node, and the ``dspu.rail_clips``
+        counter the node values it moved.
 
         Args:
             observed_index: Clamped (observed) node indices: in range and
@@ -604,15 +719,22 @@ class ScalableDSPU:
             span.set("propagators", source)
             if blas_threads is not None:
                 span.set("blas_threads", blas_threads)
+            if source != "hit":
+                span.set("capped_phases", interval_stage.capped_phases)
+                span.set("exact_bounds", interval_stage.exact_bounds)
             span.set("rotation_radius", interval_stage.rotation_radius)
             span.set("damping_delta", interval_stage.damping_delta)
             # The clamped-node drive of each phase is constant across the
-            # whole run, so it is computed once instead of per interval.
+            # whole run, so it is computed once instead of per interval,
+            # from one forcing product over every phase.
             phis = [phi for phi, _integral in interval_stage.propagators]
+            forcing = np.asarray(clamp_stage.coupling @ clamp_value).reshape(
+                clamp_stage.blocks.shape[:2]
+            )
             drives = [
-                integral @ np.asarray(coupling @ clamp_value)
-                for (_phi, integral), coupling in zip(
-                    interval_stage.propagators, clamp_stage.couplings
+                integral @ drive
+                for (_phi, integral), drive in zip(
+                    interval_stage.propagators, forcing
                 )
             ]
 
@@ -624,6 +746,8 @@ class ScalableDSPU:
             skip_mask = faults.sync_skip_mask(num_intervals)
             guard = faults.enabled
             collect = obs.metrics().enabled
+            rail = cfg.rail_volts
+            rail_clips = clipped_intervals = 0
             phase_elapsed = [0.0] * num_phases
             phases_completed = 0
             sync_skips = 0
@@ -660,9 +784,17 @@ class ScalableDSPU:
                     phase_cursor += 1
                 if node_noise_std > 0:
                     sigma[free] += rng.normal(
-                        0.0, node_noise_std * cfg.rail_volts, size=free.size
+                        0.0, node_noise_std * rail, size=free.size
                     )
-                np.clip(sigma, -cfg.rail_volts, cfg.rail_volts, out=sigma)
+                if collect:
+                    # Free-node values the rail clip is about to move; the
+                    # clamped ones are re-asserted right after it.
+                    clips = int(
+                        np.count_nonzero(np.abs(sigma[free_dyn]) > rail)
+                    )
+                    rail_clips += clips
+                    clipped_intervals += clips > 0
+                np.clip(sigma, -rail, rail, out=sigma)
                 sigma[clamp_index] = clamp_value
                 if guard:
                     check_finite(
@@ -708,6 +840,8 @@ class ScalableDSPU:
                     registry.counter("dspu.sync_skips").inc(sync_skips)
                 if exited_early:
                     registry.counter("dspu.early_exits").inc()
+                registry.counter("dspu.rail_clips").inc(rail_clips)
+                span.set("clipped_intervals", clipped_intervals)
                 for phase, elapsed in enumerate(phase_elapsed):
                     registry.histogram(f"dspu.phase{phase}_ms").observe(
                         elapsed * 1000.0
@@ -776,10 +910,12 @@ class ScalableDSPU:
             if cacheable and self._clamp_slot[0] == clamp_key:
                 clamp_stage, source = self._clamp_slot[1], "interval"
             else:
-                A_live = self._live_matrices(
-                    force_spatial_only, faults, coupler_noise
+                clamp_stage = _clamp_stage(
+                    self._A_local,
+                    self._A_inter_spatial if force_spatial_only
+                    else self._A_inter_boosted,
+                    free, clamp_index, faults, coupler_noise,
                 )
-                clamp_stage = _clamp_stage(A_live, free, clamp_index)
                 source = "built" if cacheable else "bypass"
             interval_stage = _interval_stage(clamp_stage, interval)
         if cacheable:
@@ -788,42 +924,11 @@ class ScalableDSPU:
         registry.counter("dspu.propagator_builds").inc()
         if interval_stage.damping_delta:
             registry.counter("dspu.damped_builds").inc()
-        return clamp_stage, interval_stage, source, blas_threads
-
-    def _live_matrices(
-        self,
-        force_spatial_only: bool,
-        faults: FaultScenario | NullFaultScenario,
-        coupler_noise: np.ndarray | None,
-    ) -> list:
-        """Live dynamics matrix of each switch phase, as programmed."""
-        inter_source = (
-            [self._A_inter_phase[0]]
-            if force_spatial_only
-            else self._A_inter_boosted
+        registry.counter("dspu.capped_phases").inc(interval_stage.capped_phases)
+        registry.counter("dspu.exact_growth_bounds").inc(
+            interval_stage.exact_bounds
         )
-        A_local = faults.apply_coupling(self._A_local)
-        if coupler_noise is not None:
-            # The self-reaction resistor is inside the node, not a
-            # coupler; its conductance keeps the nominal value.
-            if sp.issparse(A_local):
-                off = A_local.multiply(coupler_noise).tolil()
-                off.setdiag(A_local.diagonal())
-                A_local = off.tocsr()
-            else:
-                off = A_local * coupler_noise
-                np.fill_diagonal(off, np.diag(A_local))
-                A_local = off
-        A_live: list = []
-        for A_s in inter_source:
-            A_s = faults.apply_coupling(A_s)
-            if coupler_noise is not None:
-                if sp.issparse(A_s):
-                    A_s = A_s.multiply(coupler_noise).tocsr()
-                else:
-                    A_s = A_s * coupler_noise
-            A_live.append(A_local + A_s)
-        return A_live
+        return clamp_stage, interval_stage, source, blas_threads
 
     # ------------------------------------------------------------------
     # Normalization helpers

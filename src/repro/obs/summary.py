@@ -178,16 +178,20 @@ def _dspu_mapping_line(counters: dict) -> list[str]:
 
 
 def _propagator_cache_line(counters: dict) -> list[str]:
-    """Share of DSPU anneal calls that reused cached propagators."""
+    """Share of DSPU anneal calls that reused cached propagators, and how
+    the builds' stability guard decided: damped builds, phases capped at
+    ``GROWTH_CAP`` and exact top eigenvalues computed for the cap gate."""
     hits = counters.get("dspu.propagator_hits") or 0
     builds = counters.get("dspu.propagator_builds") or 0
     if not hits + builds:
         return []
     damped = counters.get("dspu.damped_builds") or 0
+    capped = counters.get("dspu.capped_phases") or 0
+    exact = counters.get("dspu.exact_growth_bounds") or 0
     return [
         f"DSPU propagators: {100.0 * hits / (hits + builds):.1f}% of anneal "
         f"calls served from cache ({hits} hits, {builds} builds, "
-        f"{damped} damped)"
+        f"{damped} damped, {capped} capped phases, {exact} exact bounds)"
     ]
 
 
@@ -258,7 +262,9 @@ def format_metrics(snapshot: dict) -> str:
     pickled, attach/detach balance), mesh halo-exchange volume, the
     annealing-path efficiency of adaptive/early-exit integrations
     (member-step savings, step acceptance rate), the DSPU mappings built
-    and reused, and the DSPU propagator-cache hit rate.
+    and reused, and the DSPU propagator-cache hit rate with the builds'
+    stability-guard decisions (damped builds, capped phases, exact
+    growth bounds).
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []

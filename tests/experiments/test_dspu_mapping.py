@@ -87,6 +87,7 @@ class TestMemoizedMapping:
         assert second.schedule is first.schedule
         assert second._A_local is first._A_local
         assert second._A_inter_boosted is first._A_inter_boosted
+        assert second._A_inter_spatial is first._A_inter_spatial
         assert [s["propagators"] for s in _anneal_spans(path)] == [
             "built", "built",
         ]
@@ -122,15 +123,12 @@ class TestMemoizedMapping:
         assert mapped.schedule.assignments == fresh.schedule.assignments
         assert mapped.schedule.slices_per_cu == fresh.schedule.slices_per_cu
         assert mapped.time_scale == fresh.time_scale
-        for name in ("_A", "_A_local", "_A_inter_total"):
+        n = mapped.model.n
+        assert mapped._A_inter_boosted.shape == (mapped.num_phases * n, n)
+        for name in ("_A_local", "_A_inter_spatial", "_A_inter_boosted"):
             assert np.array_equal(
                 _dense(getattr(mapped, name)), _dense(getattr(fresh, name))
             )
-        for name in ("_A_inter_phase", "_A_inter_boosted"):
-            ours, theirs = getattr(mapped, name), getattr(fresh, name)
-            assert len(ours) == len(theirs) == mapped.num_phases
-            for a, b in zip(ours, theirs):
-                assert np.array_equal(_dense(a), _dense(b))
 
 
 class TestMappingTelemetry:

@@ -112,6 +112,26 @@ class TestObservedSetExtremes:
         )
         assert np.allclose(outcome.state, 0.0, atol=0.05)
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_everything_observed_under_coupler_noise(
+        self, small_model, backend
+    ):
+        """No free rows to build: the noisy build must still succeed."""
+        model, _samples = small_model
+        dspu = ScalableDSPU(
+            _decomposed_trivial(model, _samples), node_time_constant_ns=10.0,
+            backend=backend,
+        )
+        values = np.linspace(-0.5, 0.5, model.n)
+        outcome = dspu.anneal(
+            np.arange(model.n), values, duration_ns=500.0,
+            coupling_noise_std=0.1,
+        )
+        assert outcome.prediction.shape == (0,)
+        assert np.array_equal(
+            outcome.state, dspu._normalize_subset(np.arange(model.n), values)
+        )
+
 
 def _decomposed_trivial(model, samples):
     return decompose(

@@ -142,6 +142,11 @@ class TestMixedSequence:
         assert counters["dspu.propagator_hits"] == 1
         assert counters["dspu.propagator_builds"] == 3
         assert counters["dspu.damped_builds"] == 2
+        # At a 500 ns time constant the growth cap never binds, and no
+        # Gershgorin bound comes near it.
+        assert counters["dspu.capped_phases"] == 0
+        assert counters["dspu.exact_growth_bounds"] == 0
+        assert spans[0]["capped_phases"] == spans[0]["exact_bounds"] == 0
         # The build timer is observed once per call that built, never on
         # a full hit.
         timer = snapshot["histograms"]["dspu.build_propagators_ms"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from repro import obs
 from repro.core import NaturalAnnealingEngine, rmse
 from repro.core.model import DSGLModel
 from repro.decompose.pipeline import DecomposedSystem, DecompositionConfig
@@ -15,6 +16,7 @@ from repro.hardware.scalable_dspu import (
     _interval_stage,
     _pairs_matrix,
 )
+from repro.obs import read_trace
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +47,12 @@ class TestConstruction:
     def test_duty_compensated_average_equals_trained_dynamics(self, dspu):
         """Time-average of the boosted per-phase matrices must equal the
         full scaled dynamics — the invariant behind PWM co-annealing."""
-        average = dspu._A_local + sum(dspu._A_inter_boosted) / len(
-            dspu._A_inter_boosted
-        )
-        assert np.allclose(average, dspu._A, atol=1e-12)
+        model = dspu.model
+        trained = (model.J + np.diag(model.h)) * dspu.time_scale
+        phases = dspu._A_inter_boosted.reshape(-1, model.n, model.n)
+        assert len(phases) == dspu.num_phases
+        average = dspu._A_local + phases.sum(axis=0) / len(phases)
+        assert np.allclose(average, trained, atol=1e-12)
 
     def test_rejects_bad_time_constant(self, decomposed_traffic):
         with pytest.raises(ValueError, match="time_constant"):
@@ -353,7 +357,9 @@ class TestSingularPropagators:
 
     def test_build_propagators_handle_singular_free_block(self):
         B = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        stage = _clamp_stage([B], np.array([0, 1]), np.zeros(0, dtype=int))
+        stage = _clamp_stage(
+            B, np.zeros((2, 2)), np.array([0, 1]), np.zeros(0, dtype=int)
+        )
         ((phi, integral),) = _interval_stage(stage, 1.0).propagators
         assert np.isfinite(phi).all()
         assert np.isfinite(integral).all()
@@ -362,28 +368,68 @@ class TestSingularPropagators:
         """Regression: a mapping whose free-node block is exactly singular
         (here J12 = |h|, a realistic trained configuration) crashed
         the propagator build with ``LinAlgError: Singular matrix``."""
-        J = np.array([[0.0, 1.0], [1.0, 0.0]])
-        model = DSGLModel(J=J, h=np.array([-1.0, -1.0]))
-        placement = PlacementResult(
-            pe_of_node=np.zeros(2, dtype=int),
-            grid_shape=(1, 1),
-            capacity=2,
-            groups=[np.arange(2)],
-        )
-        system = DecomposedSystem(
-            model=model,
-            placement=placement,
-            mask=np.ones((2, 2), dtype=bool),
-            config=DecompositionConfig(grid_shape=(1, 1)),
-            dense_model=model,
-        )
-        machine = ScalableDSPU(
-            system,
-            HardwareConfig(grid_shape=(1, 1), pe_capacity=2),
-            node_time_constant_ns=500.0,
-        )
+        machine = _two_node_machine(coupling=1.0, h=(-1.0, -1.0))
         outcome = machine.anneal(
             np.zeros(0, dtype=int), np.zeros(0), duration_ns=1000.0
         )
         assert np.isfinite(outcome.state).all()
         assert np.isfinite(outcome.prediction).all()
+
+
+def _two_node_machine(coupling: float, h: tuple) -> ScalableDSPU:
+    """Two coupled nodes mapped onto one PE of a 1x1 grid."""
+    J = np.array([[0.0, coupling], [coupling, 0.0]])
+    model = DSGLModel(J=J, h=np.array(h))
+    placement = PlacementResult(
+        pe_of_node=np.zeros(2, dtype=int),
+        grid_shape=(1, 1),
+        capacity=2,
+        groups=[np.arange(2)],
+    )
+    system = DecomposedSystem(
+        model=model,
+        placement=placement,
+        mask=np.ones((2, 2), dtype=bool),
+        config=DecompositionConfig(grid_shape=(1, 1)),
+        dense_model=model,
+    )
+    return ScalableDSPU(
+        system,
+        HardwareConfig(grid_shape=(1, 1), pe_capacity=2),
+        node_time_constant_ns=500.0,
+    )
+
+
+class TestRailClipping:
+    """The ±rail clip of the anneal loop, counted when metrics are on."""
+
+    def _clips(self, clamped_value, tmp_path):
+        # Node 1 clamped drives free node 0 at gain 0.45 / 0.5 = 0.9: the
+        # free node settles at 0.9x the clamped value.
+        machine = _two_node_machine(coupling=0.45, h=(-0.5, -1.0))
+        path = tmp_path / "trace.jsonl"
+        with obs.observe(trace_path=path) as (registry, _tracer):
+            outcome = machine.anneal(
+                np.array([1]), np.array([clamped_value]),
+                duration_ns=40000.0,
+            )
+            counters = registry.snapshot()["counters"]
+        (span,) = [
+            r["attributes"] for r in read_trace(path)
+            if r["kind"] == "span" and r["name"] == "dspu.anneal"
+        ]
+        return outcome, counters["dspu.rail_clips"], span["clipped_intervals"]
+
+    def test_equilibrium_beyond_the_rail_clips(self, tmp_path):
+        outcome, clips, intervals = self._clips(1.5, tmp_path)
+        # The free node heads for 1.35 and the clip holds it at the rail.
+        assert outcome.prediction[0] == 1.0
+        assert intervals > 0
+        assert clips == intervals  # one free node, so one value per interval
+
+    def test_clamped_value_beyond_the_rail_is_not_a_clip(self, tmp_path):
+        # The clamped node sits outside the rail and is re-asserted after
+        # every clip; its free neighbour settles inside at 0.945.
+        outcome, clips, intervals = self._clips(1.05, tmp_path)
+        assert 0.9 < outcome.prediction[0] < 1.0
+        assert clips == intervals == 0

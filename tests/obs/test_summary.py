@@ -125,6 +125,8 @@ class TestFormatting:
                     "dspu.propagator_hits": 9,
                     "dspu.propagator_builds": 3,
                     "dspu.damped_builds": 2,
+                    "dspu.capped_phases": 5,
+                    "dspu.exact_growth_bounds": 7,
                 },
                 "gauges": {},
                 "histograms": {},
@@ -132,7 +134,7 @@ class TestFormatting:
         )
         assert (
             "DSPU propagators: 75.0% of anneal calls served from cache "
-            "(9 hits, 3 builds, 2 damped)"
+            "(9 hits, 3 builds, 2 damped, 5 capped phases, 7 exact bounds)"
         ) in text
 
     def test_format_metrics_without_anneals_has_no_propagator_line(self):
