@@ -23,7 +23,7 @@ Commands
     Aggregate a recorded trace JSONL into a span/metric table.
 ``obs timeline PATH``
     Reconstruct the causal timeline of a trace — stitched worker spans,
-    critical path, per-shard wall time, pool idle and halo-exchange wait.
+    critical path, per-shard wall time and pool idle.
 ``obs export PATH``
     Convert a trace's embedded metrics snapshot into OpenMetrics text
     (Prometheus textfile-collector format) or a JSON snapshot document.

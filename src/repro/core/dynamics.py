@@ -347,8 +347,7 @@ def fixed_step_count(duration: float, dt: float) -> int:
     """Steps the fixed-``dt`` policy takes over ``duration`` (at least one).
 
     The single statement of the rule: the shared-memory result slabs of
-    :mod:`repro.parallel.circuit` and the mesh integrator size themselves
-    from it too.
+    :mod:`repro.parallel.circuit` size themselves from it too.
     """
     return max(1, int(round(duration / dt)))
 

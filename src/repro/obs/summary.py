@@ -99,8 +99,7 @@ def _shm_transport_lines(counters: dict) -> list[str]:
 
     Reports bytes placed in shared blocks against bytes pickled into pool
     tasks — the zero-copy ratio the transport exists for — plus the
-    attach/detach balance (unequal counts mean a worker leaked a mapping)
-    and halo-exchange volume of mesh runs.
+    attach/detach balance (unequal counts mean a worker leaked a mapping).
     """
     lines: list[str] = []
     shared = counters.get("parallel.shm.bytes_shared")
@@ -117,13 +116,6 @@ def _shm_transport_lines(counters: dict) -> list[str]:
         balance = "balanced" if attaches == detaches else "LEAKED"
         lines.append(
             f"shm attach/detach: {attaches}/{detaches} ({balance})"
-        )
-    rounds = counters.get("parallel.halo.rounds")
-    if rounds:
-        volume = counters.get("parallel.halo.bytes_exchanged") or 0
-        lines.append(
-            f"halo exchange: {rounds} rounds, {volume / 1e6:.2f} MB "
-            f"({volume / rounds / 1e3:.1f} kB/round)"
         )
     return lines
 
@@ -259,12 +251,11 @@ def format_metrics(snapshot: dict) -> str:
 
     Appends derived lines when their counters are present: the LU-cache
     hit rate, the shared-memory transport summary (bytes shared vs bytes
-    pickled, attach/detach balance), mesh halo-exchange volume, the
-    annealing-path efficiency of adaptive/early-exit integrations
-    (member-step savings, step acceptance rate), the DSPU mappings built
-    and reused, and the DSPU propagator-cache hit rate with the builds'
-    stability-guard decisions (damped builds, capped phases, exact
-    growth bounds).
+    pickled, attach/detach balance), the annealing-path efficiency of
+    adaptive/early-exit integrations (member-step savings, step
+    acceptance rate), the DSPU mappings built and reused, and the DSPU
+    propagator-cache hit rate with the builds' stability-guard decisions
+    (damped builds, capped phases, exact growth bounds).
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []

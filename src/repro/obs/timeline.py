@@ -18,9 +18,6 @@ a scale-out run actually raises:
   (map duration minus the slowest task) and total worker-slot idle time
   (``duration x workers − sum of task durations``), the capacity lost to
   stragglers + serialization.
-* **Halo wait** — per ``mesh.round``: round time not spent inside the
-  round's ``parallel.map``, which is exactly the halo-exchange + buffer
-  swap cost of :func:`repro.parallel.mesh.anneal_mesh`.
 
 All duration accounting tolerates records missing ``start_ms`` or
 ``duration_ms`` (they count as 0), so partial traces still analyze.
@@ -68,8 +65,7 @@ def analyze_records(records: list[dict]) -> dict:
     Returns a dict with ``spans`` (all span records, start-ordered),
     ``roots``, ``orphans``, ``extent_ms``, ``critical_path``, ``shards``
     (per ``parallel.task`` index), ``skew`` (straggler ratio or ``None``),
-    ``maps`` (per ``parallel.map`` idle breakdown), and ``mesh_rounds``
-    with the total ``halo_wait_ms``.
+    and ``maps`` (per ``parallel.map`` idle breakdown).
     """
     spans = [r for r in records if r.get("kind") == "span"]
     spans.sort(key=lambda s: (_start(s), s.get("span_id") or 0))
@@ -142,27 +138,6 @@ def analyze_records(records: list[dict]) -> dict:
             }
         )
 
-    # Halo wait: mesh.round time spent outside the round's parallel.map.
-    mesh_rounds: list[dict] = []
-    halo_wait_ms = 0.0
-    for span in spans:
-        if span.get("name") != "mesh.round":
-            continue
-        inner = sum(
-            _duration(child)
-            for child in children.get(span["span_id"], [])
-            if child.get("name") == "parallel.map"
-        )
-        wait = max(0.0, _duration(span) - inner)
-        halo_wait_ms += wait
-        mesh_rounds.append(
-            {
-                "round": (span.get("attributes") or {}).get("round"),
-                "duration_ms": _duration(span),
-                "exchange_wait_ms": wait,
-            }
-        )
-
     return {
         "spans": spans,
         "roots": roots,
@@ -173,8 +148,6 @@ def analyze_records(records: list[dict]) -> dict:
         "shards": shard_rows,
         "skew": skew,
         "maps": maps,
-        "mesh_rounds": mesh_rounds,
-        "halo_wait_ms": halo_wait_ms,
     }
 
 
@@ -278,13 +251,5 @@ def format_timeline(analysis: dict, width: int = 60) -> str:
         lines.append(
             "(overhead = map minus slowest task: dispatch+merge cost; "
             "idle = workers x map minus busy: capacity lost to stragglers)"
-        )
-
-    if analysis["mesh_rounds"]:
-        lines.append("")
-        lines.append(
-            f"halo exchange wait: {analysis['halo_wait_ms']:.2f} ms across "
-            f"{len(analysis['mesh_rounds'])} mesh round(s) "
-            f"(time in mesh.round outside its parallel.map)"
         )
     return "\n".join(lines)

@@ -3,14 +3,13 @@
 The DSPU exists so annealing work can proceed in parallel beyond one
 coupling crossbar; this package is the software analogue: it shards the
 members of a batched circuit run across a process pool
-(:func:`run_batch_sharded`), and partitions single large meshes across
-node shards with halo exchange (:mod:`repro.parallel.mesh`).
+(:func:`run_batch_sharded`).
 
 The load-bearing guarantee, pinned by ``tests/parallel/``: **results are
 bit-for-bit identical for any worker count.**  Three rules deliver it:
 
 1. Work is split into shards whose boundaries depend only on the problem
-   (:func:`shard_slices`, :func:`partition_mesh`), never on ``workers``.
+   (:func:`shard_slices`), never on ``workers``.
 2. Shard ``i`` derives its RNG from ``(root_seed, i)`` via
    :meth:`numpy.random.SeedSequence.spawn` (:func:`spawn_seeds`).
 3. ``workers=1`` executes the very same shard tasks serially in-process
@@ -31,7 +30,6 @@ Worker metrics and trace records merge back into the parent
 """
 
 from .circuit import expected_record_count, run_batch_sharded, shard_task_bytes
-from .mesh import MeshPartition, MeshResult, anneal_mesh, partition_mesh
 from .pool import (
     DEFAULT_SHARDS,
     parallel_map,
@@ -39,7 +37,6 @@ from .pool import (
     resolve_start_method,
     shard_slices,
     spawn_seeds,
-    worker_pool,
 )
 from .shm import (
     SharedArena,
@@ -53,16 +50,12 @@ from .shm import (
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "MeshPartition",
-    "MeshResult",
     "SharedArena",
     "SharedArray",
     "SharedCSR",
     "SharedOperator",
-    "anneal_mesh",
     "expected_record_count",
     "parallel_map",
-    "partition_mesh",
     "pickled_bytes",
     "resolve_num_shards",
     "resolve_start_method",
@@ -72,5 +65,4 @@ __all__ = [
     "shm_available",
     "shm_residue",
     "spawn_seeds",
-    "worker_pool",
 ]

@@ -1,4 +1,4 @@
-"""Process-pool plumbing shared by every sharded execution path.
+"""Process-pool plumbing behind :func:`~repro.parallel.run_batch_sharded`.
 
 Three primitives keep the parallel layer seed-deterministic:
 
@@ -10,10 +10,10 @@ Three primitives keep the parallel layer seed-deterministic:
 * :func:`spawn_seeds` — per-shard RNG seeds derived from
   ``(root_seed, shard_index)`` via :meth:`numpy.random.SeedSequence.spawn`,
   the collision-resistant derivation NumPy designed for exactly this.
-* :func:`parallel_map` — ordered fan-out over a ``fork`` process pool
-  (falling back to ``spawn`` where fork is unavailable).  ``workers=1``
-  runs the same task functions serially in-process, which is what the
-  equivalence suite in ``tests/parallel/`` pins against.
+* :func:`parallel_map` — ordered fan-out over a fresh ``fork`` process
+  pool per call (falling back to ``spawn`` where fork is unavailable).
+  ``workers=1`` runs the same task functions serially in-process, which
+  is what the equivalence suite in ``tests/parallel/`` pins against.
 
 Observability crosses the process boundary explicitly: workers drop the
 sinks they inherited on fork (see :func:`repro.obs.worker_reset` — closing
@@ -27,7 +27,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "resolve_start_method",
     "shard_slices",
     "spawn_seeds",
-    "worker_pool",
 ]
 
 #: Default shard count when the caller does not pin one.  Fixed (never
@@ -157,23 +155,6 @@ def _call_task(payload: tuple) -> tuple:
     return result, state
 
 
-@contextmanager
-def worker_pool(workers: int, num_tasks: int | None = None):
-    """A reusable process pool for repeated ``parallel_map`` rounds.
-
-    Iterative fan-outs (the halo-exchange mesh integrator runs one map per
-    exchange round) would otherwise pay pool startup per round; pass the
-    yielded pool back via ``parallel_map(..., pool=...)``.
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    processes = workers if num_tasks is None else min(workers, num_tasks)
-    context = multiprocessing.get_context(resolve_start_method())
-    with context.Pool(processes=processes, initializer=_worker_init) as pool:
-        yield pool
-
-
 def _account_pickled(payloads: list) -> None:
     """Record per-task serialized sizes (only when metrics are live)."""
     registry = obs.metrics()
@@ -192,8 +173,6 @@ def parallel_map(
     fn: Callable,
     tasks: Sequence[tuple],
     workers: int | None = 1,
-    *,
-    pool=None,
 ) -> list:
     """``[fn(*task) for task in tasks]``, fanned out over ``workers``.
 
@@ -202,8 +181,6 @@ def parallel_map(
     function, same order, so parallel and serial runs are bit-for-bit
     interchangeable.  ``fn`` and every task argument must be picklable
     (``fn`` must be a module-level callable or bound method of one).
-    Passing a :func:`worker_pool` via ``pool`` reuses its processes
-    instead of creating a fresh pool (the serial shortcut still applies).
 
     When the parent has observability enabled, each worker task collects
     metrics/trace records locally and the parent merges them back (in
@@ -248,15 +225,12 @@ def parallel_map(
         ]
         if collect:
             _account_pickled(payloads)
-        if pool is not None:
+        context = multiprocessing.get_context(resolve_start_method())
+        processes = min(workers, len(tasks))
+        with context.Pool(
+            processes=processes, initializer=_worker_init
+        ) as pool:
             outputs = pool.map(_call_task, payloads, chunksize=1)
-        else:
-            context = multiprocessing.get_context(resolve_start_method())
-            processes = min(workers, len(tasks))
-            with context.Pool(
-                processes=processes, initializer=_worker_init
-            ) as fresh:
-                outputs = fresh.map(_call_task, payloads, chunksize=1)
         results = []
         for result, state in outputs:
             if state is not None:

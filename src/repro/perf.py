@@ -80,13 +80,13 @@ def random_sparse_system(
 def random_sparse_mesh(
     n: int, density: float, seed: int = 0
 ) -> tuple["object", np.ndarray]:
-    """A random symmetric CSR coupling matrix at mesh scale.
+    """A random symmetric CSR coupling matrix at 100k-node scale.
 
     :func:`random_sparse_system` materializes every node pair via
     ``np.triu_indices`` — fine to a few thousand nodes, hopeless at 100k
     (5e9 pairs).  This generator samples ``density * n * (n-1) / 2``
     upper-triangle pairs directly and never builds a dense matrix, so a
-    100k-node / 0.1%-density mesh costs ~10M entries, not 80 GB.
+    100k-node / 0.1%-density system costs ~10M entries, not 80 GB.
 
     Returns:
         ``(J, h)`` with ``J`` a ``scipy.sparse.csr_matrix`` of shape

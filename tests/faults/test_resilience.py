@@ -59,20 +59,14 @@ class TestIntegrationGuard:
             IntegrationConfig(divergence_check_every=-1)
 
     def test_guard_off_returns_garbage_silently(self):
-        np.seterr(all="ignore")
-        try:
+        with np.errstate(all="ignore"):
             run = _explosive_run(check_every=0)
-        finally:
-            np.seterr(all="warn")
         assert not np.isfinite(run.final_state).all()
 
     def test_guard_raises_mid_integration(self):
-        np.seterr(all="ignore")
-        try:
+        with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match="circuit"):
                 _explosive_run(check_every=1)
-        finally:
-            np.seterr(all="warn")
 
 
 class _FlakyEngine:

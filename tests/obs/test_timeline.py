@@ -88,20 +88,6 @@ class TestAnalyzeRecords:
             "parallel.task",
         ]
 
-    def test_halo_wait_from_mesh_rounds(self):
-        records = [
-            _span("mesh.anneal", 1, None, 0.0, 50.0),
-            _span("mesh.round", 2, 1, 0.0, 30.0, round=0, steps=1),
-            _span("parallel.map", 3, 2, 1.0, 25.0, tasks=2, workers=1),
-            _span("mesh.round", 4, 1, 30.0, 20.0, round=1, steps=1),
-            _span("parallel.map", 5, 4, 31.0, 18.0, tasks=2, workers=1),
-        ]
-        analysis = analyze_records(records)
-        assert len(analysis["mesh_rounds"]) == 2
-        assert analysis["halo_wait_ms"] == pytest.approx(5.0 + 2.0)
-        rendered = format_timeline(analysis)
-        assert "halo exchange wait" in rendered
-
     def test_tolerates_missing_timing_fields(self):
         records = [
             {"kind": "span", "name": "bare", "span_id": 1, "parent_id": None},
