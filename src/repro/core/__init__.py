@@ -35,7 +35,7 @@ from .inference import (
     NaturalAnnealingEngine,
     model_fingerprint,
 )
-from .metrics import mae, mape, r2_score, rmse
+from .metrics import mae, rmse
 from .model import DSGLModel
 from .operators import CouplingOperator, ReducedSystem, select_backend
 from .stability import (
@@ -90,9 +90,7 @@ __all__ = [
     "fit_precision_masked",
     "fit_regression",
     "mae",
-    "mape",
     "normalization_stats",
-    "r2_score",
     "regression_loss",
     "rmse",
     "select_backend",

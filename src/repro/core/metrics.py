@@ -1,14 +1,14 @@
 """Accuracy metrics used throughout the evaluation.
 
-The paper reports accuracy exclusively as RMSE on normalized data; MAE and
-MAPE are provided for completeness and used in extended experiments.
+The paper reports accuracy exclusively as RMSE on normalized data; MAE is
+provided for completeness and used in extended experiments.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rmse", "mae", "mape", "r2_score"]
+__all__ = ["rmse", "mae"]
 
 
 def _flatten_pair(prediction: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -34,18 +34,3 @@ def mae(prediction: np.ndarray, target: np.ndarray) -> float:
     prediction, target = _flatten_pair(prediction, target)
     return float(np.mean(np.abs(prediction - target)))
 
-
-def mape(prediction: np.ndarray, target: np.ndarray, eps: float = 1e-8) -> float:
-    """Mean absolute percentage error with an epsilon floor on the target."""
-    prediction, target = _flatten_pair(prediction, target)
-    return float(np.mean(np.abs(prediction - target) / np.maximum(np.abs(target), eps)))
-
-
-def r2_score(prediction: np.ndarray, target: np.ndarray) -> float:
-    """Coefficient of determination (1 = perfect, 0 = mean predictor)."""
-    prediction, target = _flatten_pair(prediction, target)
-    ss_res = float(np.sum((target - prediction) ** 2))
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot

@@ -28,6 +28,7 @@ normalization used to map data into the voltage domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +171,12 @@ def fit_precision_masked(
     (Khare, Oh & Rajaratnam, JRSS-B 2015): a jointly convex objective in
     the symmetric precision matrix, minimized by cyclic coordinate descent
     with closed-form per-entry updates.  Unlike per-node regression folding,
-    the symmetry constraint is part of the optimization, so nested supports
-    yield monotonically better fits — the property behind the paper's
-    "accuracy increases with density" curves (Fig. 10).
+    the symmetry constraint is part of the optimization, so at the optimum
+    nested supports yield monotonically better fits — the property behind
+    the paper's "accuracy increases with density" curves (Fig. 10).  The
+    descent stops at ``max_sweeps`` or ``tol``, whichever comes first, and
+    the default budget ends short of the optimum on the paper's datasets,
+    so a denser mask is not guaranteed a better fit.
 
     Args:
         samples: ``(num_samples, n)`` training configurations (raw domain).
@@ -183,7 +187,11 @@ def fit_precision_masked(
         tol: Convergence threshold on the largest coordinate update.
 
     Returns:
-        A convex :class:`DSGLModel` supported only on ``mask``.
+        A convex :class:`DSGLModel` supported only on ``mask``.  Its
+        metadata records how the descent stopped: ``finetune_sweeps`` (the
+        sweeps it ran), ``finetune_last_update`` (the largest update of the
+        last sweep) and ``finetune_capped`` (it ran ``max_sweeps`` and that
+        update was still at least ``tol``).
     """
     config = config or TrainingConfig()
     samples = np.asarray(samples, dtype=float)
@@ -200,7 +208,7 @@ def fit_precision_masked(
     S = z.T @ z / num_samples
     S.flat[:: n + 1] += config.ridge
 
-    omega = _concord_descent(S, mask, max_sweeps, tol)
+    omega, sweeps, last_update = _concord_descent(S, mask, max_sweeps, tol)
 
     h = -np.diag(omega).copy()
     J = symmetrize_coupling(-omega)  # J is minus the off-diagonal precision
@@ -213,50 +221,107 @@ def fit_precision_masked(
         h=h,
         mean=mean,
         scale=scale,
-        metadata={"fitter": "precision_masked", **(metadata or {})},
+        metadata={
+            "fitter": "precision_masked",
+            **(metadata or {}),
+            "finetune_sweeps": sweeps,
+            "finetune_last_update": last_update,
+            "finetune_capped": sweeps == max_sweeps and not last_update < tol,
+        },
     )
 
 
 def _concord_descent(
     S: np.ndarray, mask: np.ndarray, max_sweeps: int, tol: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, float]:
     """CONCORD coordinate descent for a support-constrained precision.
 
     Minimizes ``-sum_i log omega_ii + (1/2) sum_i (Omega S Omega)_ii`` over
     symmetric ``Omega`` with off-diagonal support in ``mask``.  The running
     product ``U = Omega @ S`` is maintained incrementally so each
-    coordinate update is O(n).
+    coordinate update is O(n).  Each sweep visits the upper-triangle pairs
+    in row-major order, then the diagonal; the descent stops after
+    ``max_sweeps`` sweeps or after the first sweep whose largest update is
+    below ``tol``.
+
+    The scalar work runs on Python floats and the O(n) row updates in place
+    on row views, which saves most of the interpreter overhead of indexing
+    numpy arrays per entry.  The loop still computes the same bits as the
+    plain numpy update ``U[i, :] += delta * S[j, :]``:
+
+    * Python floats and numpy float64 scalars are the same IEEE binary64
+      numbers under the same round-to-nearest arithmetic, so every scalar
+      expression, evaluated in the same order, rounds the same way.
+    * Each entry of a row update is rounded twice either way: once when
+      ``delta * S[j, k]`` is formed (here into ``buf``), once when it is
+      added to ``U[i, k]``.
+    * ``math.sqrt`` and ``np.sqrt`` both return the correctly rounded square
+      root, as IEEE 754 requires; ``x ** 0.5`` goes through ``pow`` and is
+      not guaranteed to.
+    * A pair's off-diagonal entry is read and written only by that pair's
+      own update, so it lives in a list and is written into ``Omega`` once
+      at the end.  An update whose ``delta`` is zero writes nothing, so the
+      sign of a zero entry is kept as well.
+
+    ``tests/core/test_concord_descent.py`` pins this against the plain
+    numpy loop bit for bit.
+
+    Returns:
+        ``(Omega, sweeps, last_update)``: the estimate, the number of sweeps
+        run and the largest update of the last sweep (0.0 if none ran).
     """
     n = S.shape[0]
     omega = np.diag(1.0 / np.maximum(np.diag(S), 1e-8)).copy()
     U = omega @ S
     rows, cols = np.nonzero(np.triu(mask, 1))
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    for _sweep in range(max_sweeps):
+    s_diag = np.diag(S).tolist()
+    diag = np.diag(omega).tolist()
+    S_rows = list(S)
+    U_rows = list(U)
+    pairs = [
+        (k, i, j, s_diag[i], s_diag[j], s_diag[i] + s_diag[j])
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))
+    ]
+    off = [0.0] * len(pairs)
+    buf = np.empty(n)
+    sweeps = 0
+    largest = 0.0
+    while sweeps < max_sweeps:
+        sweeps += 1
         largest = 0.0
-        for i, j in pairs:
-            partial_i = U[i, j] - omega[i, j] * S[j, j]
-            partial_j = U[j, i] - omega[i, j] * S[i, i]
-            new = -(partial_i + partial_j) / (S[i, i] + S[j, j])
-            delta = new - omega[i, j]
+        for k, i, j, s_ii, s_jj, s_sum in pairs:
+            w = off[k]
+            partial_i = U.item(i, j) - w * s_jj
+            partial_j = U.item(j, i) - w * s_ii
+            new = -(partial_i + partial_j) / s_sum
+            delta = new - w
             if delta != 0.0:
-                omega[i, j] = omega[j, i] = new
-                U[i, :] += delta * S[j, :]
-                U[j, :] += delta * S[i, :]
+                off[k] = new
+                U_i, U_j = U_rows[i], U_rows[j]
+                np.multiply(S_rows[j], delta, out=buf)
+                np.add(U_i, buf, out=U_i)
+                np.multiply(S_rows[i], delta, out=buf)
+                np.add(U_j, buf, out=U_j)
                 largest = max(largest, abs(delta))
         for i in range(n):
-            partial = U[i, i] - omega[i, i] * S[i, i]
-            new = (-partial + np.sqrt(partial * partial + 4.0 * S[i, i])) / (
-                2.0 * S[i, i]
+            s_ii = s_diag[i]
+            partial = U.item(i, i) - diag[i] * s_ii
+            new = (-partial + math.sqrt(partial * partial + 4.0 * s_ii)) / (
+                2.0 * s_ii
             )
-            delta = new - omega[i, i]
+            delta = new - diag[i]
             if delta != 0.0:
-                omega[i, i] = new
-                U[i, :] += delta * S[i, :]
+                diag[i] = new
+                U_i = U_rows[i]
+                np.multiply(S_rows[i], delta, out=buf)
+                np.add(U_i, buf, out=U_i)
                 largest = max(largest, abs(delta))
         if largest < tol:
             break
-    return omega
+    omega[rows, cols] = off
+    omega[cols, rows] = off
+    np.fill_diagonal(omega, diag)
+    return omega, sweeps, largest
 
 
 def regression_loss(

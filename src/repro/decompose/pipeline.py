@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..core.model import DSGLModel
 from ..core.training import TrainingConfig, fit_precision_masked, fit_regression
 from .community import louvain_communities
@@ -167,6 +168,10 @@ def decompose(
 
     Returns:
         The :class:`DecomposedSystem`.
+
+    Each closed-form fine-tune counts in ``decompose.finetune_fits``, and
+    in ``decompose.finetune_capped`` too when it stopped at its sweep cap
+    short of its tolerance.
     """
     config = config or DecompositionConfig()
 
@@ -229,6 +234,11 @@ def decompose(
     if config.finetune_method == "closed_form":
         tuned = fit_precision_masked(
             samples, mask, config.finetune, metadata=provenance
+        )
+        registry = obs.metrics()
+        registry.counter("decompose.finetune_fits").inc()
+        registry.counter("decompose.finetune_capped").inc(
+            int(tuned.metadata["finetune_capped"])
         )
     elif config.finetune_method == "sgd":
         tuned = fit_regression(

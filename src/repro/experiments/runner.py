@@ -210,10 +210,12 @@ class ExperimentContext:
             with obs.tracer().span(
                 "experiments.decompose", dataset=name, density=density,
                 pattern=pattern,
-            ), obs.metrics().timer("experiments.decompose_ms"):
-                self._decomposed[key] = decompose(
-                    trained.model, trained.samples, config
-                )
+            ) as span, obs.metrics().timer("experiments.decompose_ms"):
+                system = decompose(trained.model, trained.samples, config)
+                fit = system.model.metadata
+                span.set("finetune_sweeps", fit["finetune_sweeps"])
+                span.set("finetune_last_update", fit["finetune_last_update"])
+                self._decomposed[key] = system
             logger.info(
                 "decomposed %s at density %.3f (%s pattern)",
                 name, density, pattern,

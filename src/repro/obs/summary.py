@@ -160,6 +160,16 @@ def _adaptive_path_lines(counters: dict) -> list[str]:
     return lines
 
 
+def _finetune_line(counters: dict) -> list[str]:
+    """CONCORD fine-tunes the decompositions ran, and how many stopped at
+    their sweep cap before the largest update fell below the tolerance."""
+    fits = counters.get("decompose.finetune_fits") or 0
+    if not fits:
+        return []
+    capped = counters.get("decompose.finetune_capped") or 0
+    return [f"CONCORD fine-tune: {fits} fits, {capped} stopped at the sweep cap"]
+
+
 def _dspu_mapping_line(counters: dict) -> list[str]:
     """DSPU mappings the experiment context built, and copies it reused."""
     built = counters.get("experiments.dspu_maps") or 0
@@ -253,7 +263,8 @@ def format_metrics(snapshot: dict) -> str:
     hit rate, the shared-memory transport summary (bytes shared vs bytes
     pickled, attach/detach balance), the annealing-path efficiency of
     adaptive/early-exit integrations (member-step savings, step
-    acceptance rate), the DSPU mappings built and reused, and the DSPU
+    acceptance rate), the CONCORD fine-tunes and how many stopped at their
+    sweep cap, the DSPU mappings built and reused, and the DSPU
     propagator-cache hit rate with the builds' stability-guard decisions
     (damped builds, capped phases, exact growth bounds).
     Returns an empty string for an empty snapshot.
@@ -290,6 +301,7 @@ def format_metrics(snapshot: dict) -> str:
         derived.append(f"LU-cache hit rate: {100.0 * rate:.1f}%")
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
+    derived.extend(_finetune_line(counters))
     derived.extend(_dspu_mapping_line(counters))
     derived.extend(_propagator_cache_line(counters))
     if derived:

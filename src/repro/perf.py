@@ -103,7 +103,9 @@ def random_sparse_mesh(
     # collisions are rare and the realized density stays within a hair of
     # the target, without a 5e9-element permutation.
     flat = np.unique(rng.integers(0, num_pairs, size=int(keep * 1.05) + 8))
-    flat = flat[:keep]
+    # Keep a random subset of the distinct pairs: ``np.unique`` sorts, so
+    # its head would drop the pairs of the last rows.
+    flat = rng.choice(flat, size=min(keep, flat.size), replace=False)
     # Invert the row-major upper-triangle linearization k = i*n - i(i+3)/2
     # + j - 1 via the quadratic formula (float64 is exact for n <= ~1e6).
     i = (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import mae, mape, r2_score, rmse
+from repro.core import mae, rmse
 
 
 class TestRmse:
@@ -37,28 +37,3 @@ class TestMae:
         a, b = rng.normal(size=50), rng.normal(size=50)
         assert mae(a, b) <= rmse(a, b) + 1e-12
 
-
-class TestMape:
-    def test_known_value(self):
-        assert np.isclose(
-            mape(np.asarray([1.1, 2.2]), np.asarray([1.0, 2.0])), 0.1
-        )
-
-    def test_eps_guards_zero_target(self):
-        assert np.isfinite(mape(np.asarray([1.0]), np.asarray([0.0])))
-
-
-class TestR2:
-    def test_perfect_is_one(self):
-        x = np.asarray([1.0, 2.0, 3.0])
-        assert r2_score(x, x) == 1.0
-
-    def test_mean_predictor_is_zero(self):
-        target = np.asarray([1.0, 2.0, 3.0])
-        prediction = np.full(3, 2.0)
-        assert np.isclose(r2_score(prediction, target), 0.0)
-
-    def test_constant_target_edge_case(self):
-        target = np.ones(4)
-        assert r2_score(np.ones(4), target) == 1.0
-        assert r2_score(np.zeros(4), target) == 0.0

@@ -159,6 +159,30 @@ class TestFormatting:
         mapping = lines.index("DSPU mappings: 4 built, 28 reused")
         assert lines[mapping + 1].startswith("DSPU propagators: ")
 
+    def test_format_metrics_finetune_line_before_dspu_lines(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "decompose.finetune_fits": 15,
+                    "decompose.finetune_capped": 12,
+                    "experiments.dspu_maps": 15,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        lines = text.splitlines()
+        finetune = lines.index(
+            "CONCORD fine-tune: 15 fits, 12 stopped at the sweep cap"
+        )
+        assert lines[finetune + 1].startswith("DSPU mappings: ")
+
+    def test_format_metrics_without_fits_has_no_finetune_line(self):
+        text = format_metrics(
+            {"counters": {"circuit.steps": 100}, "gauges": {}, "histograms": {}}
+        )
+        assert "CONCORD fine-tune" not in text
+
     def test_format_metrics_without_mappings_has_no_mapping_line(self):
         text = format_metrics(
             {

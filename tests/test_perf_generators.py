@@ -4,7 +4,8 @@
 scale-out recipe and the shared-memory perf gates without ever forming a
 dense matrix; these checks pin its contract at sizes tier-1 can afford:
 a symmetric, zero-diagonal CSR matrix holding exactly the target number
-of distinct pairs, with fields that make the system convex.
+of distinct pairs, spread evenly over the nodes, with fields that make the
+system convex.
 """
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestRandomSparseMesh:
         # count here.
         assert J.nnz == 2 * target
         assert np.count_nonzero(J.data) == J.nnz
+
+    def test_each_tenth_of_the_nodes_holds_its_share(self, mesh):
+        # Every node expects density * (n - 1) entries in its row, so each
+        # tenth of the nodes should hold about a tenth of all entries.
+        J, _ = mesh
+        per_tenth = np.diff(J.indptr).reshape(10, -1).sum(axis=1)
+        np.testing.assert_allclose(per_tenth, J.nnz / 10, rtol=0.1)
 
     def test_fields_make_the_system_convex(self, mesh):
         J, h = mesh
