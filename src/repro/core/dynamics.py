@@ -34,6 +34,7 @@ import numpy as np
 from .. import obs
 from ..faults.model import NO_FAULTS, FaultScenario, NullFaultScenario
 from ..faults.resilience import check_finite
+from .operators import node_columns
 
 logger = logging.getLogger("repro.core")
 
@@ -352,6 +353,38 @@ def fixed_step_count(duration: float, dt: float) -> int:
     return max(1, int(round(duration / dt)))
 
 
+def free_drift(drift, free: np.ndarray, n: int):
+    """``drift`` as the integration loop calls it: the full ``(..., n)``
+    state in, the currents of the ``free`` nodes out.
+
+    A drift made by :meth:`~repro.core.operators.CouplingOperator._rows_drift`
+    names the nodes it computes in its ``rows`` attribute and is sliced down
+    to ``free`` only where the two differ (stuck nodes among its rows).
+    Every other drift returns all ``n`` currents and is sliced to ``free``,
+    unless every node is free.
+    """
+    rows = getattr(drift, "rows", None)
+    if rows is None:
+        if free.size == n:
+            return drift
+        cols = free
+    elif np.array_equal(rows, free):
+        return drift
+    else:
+        position = np.full(n, -1)
+        position[rows] = np.arange(rows.size)
+        cols = position[free]
+        if np.any(cols < 0):
+            raise ValueError("the drift does not compute every free node")
+
+    cols = node_columns(cols)
+
+    def sliced(sigma: np.ndarray) -> np.ndarray:
+        return np.asarray(drift(sigma))[..., cols]
+
+    return sliced
+
+
 def check_node_index(index: np.ndarray, n: int, name: str) -> None:
     """Reject node indices outside ``[0, n)`` or repeated.
 
@@ -373,8 +406,8 @@ class CircuitSimulator:
     handles clamping, rails, and noise uniformly.  :meth:`run` integrates a
     single ``(n,)`` state; :meth:`run_batch` integrates a ``(batch, n)``
     state matrix in one vectorized loop — both share the same core, so the
-    per-step semantics (noise injection, rail saturation, clamp
-    re-assertion, RK4 stage projection) are identical.
+    per-step semantics (free-node advance, noise injection, rail
+    saturation, RK4 stage projection) are identical.
 
     Attributes:
         config: Integration settings.
@@ -425,6 +458,8 @@ class CircuitSimulator:
         clamp_index, clamp_value = self._check_clamps(n, clamp_index, clamp_value)
         clamp_index, clamp_value = self._with_stuck(clamp_index, clamp_value)
         sigma[clamp_index] = clamp_value
+        free = np.setdiff1d(np.arange(n), clamp_index)
+        drift = free_drift(drift, free, n)
 
         def drift_batch(states: np.ndarray) -> np.ndarray:
             return np.asarray(drift(states[0]))[None, :]
@@ -439,8 +474,7 @@ class CircuitSimulator:
         ) as span:
             with obs.metrics().timer("circuit.run_ms"):
                 times, states, energies, stats = self._integrate(
-                    drift_batch, sigma[None, :], duration, clamp_index,
-                    clamp_value, energy_batch,
+                    drift_batch, sigma[None, :], duration, free, energy_batch
                 )
             trajectory = Trajectory(
                 times=times, states=states[:, 0, :], energies=energies[:, 0]
@@ -537,12 +571,13 @@ class CircuitSimulator:
         )
         clamp_index, clamp_value = self._with_stuck(clamp_index, clamp_value)
         sigma[:, clamp_index] = clamp_value
+        free = np.setdiff1d(np.arange(n), clamp_index)
         with obs.tracer().span(
             "circuit.run_batch", batch=batch, n=n, method=self.config.method
         ) as span:
             with obs.metrics().timer("circuit.run_batch_ms"):
                 times, states, energies, stats = self._integrate(
-                    drift, sigma, duration, clamp_index, clamp_value, energy,
+                    free_drift(drift, free, n), sigma, duration, free, energy,
                     tail=tail,
                 )
             trajectory = BatchTrajectory(
@@ -566,6 +601,10 @@ class CircuitSimulator:
         registry.counter("circuit.samples").inc(batch)
         span.set("steps", steps)
         span.set("duration_ns", float(duration))
+        span.set("free_nodes", stats["free_nodes"])
+        if stats["rail_clips"] is not None:
+            registry.counter("circuit.rail_clips").inc(stats["rail_clips"])
+            span.set("rail_clips", stats["rail_clips"])
         # Adaptive / early-exit telemetry: the step-count, rejected-step,
         # and freeze-out counters the tune CLI and `repro obs summarize`
         # derive schedule efficiency from.  Zero-valued entries are not
@@ -671,12 +710,36 @@ class CircuitSimulator:
         drift,
         sigma: np.ndarray,
         duration: float,
-        clamp_index: np.ndarray,
-        clamp_value: np.ndarray,
+        free: np.ndarray,
         energy,
         tail: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         """Vectorized Euler/RK4 loop over a ``(batch, n)`` state matrix.
+
+        ``sigma`` arrives with its clamped columns (observed and stuck
+        nodes) already written; ``free`` lists the other, sorted.  The loop
+        integrates only the ``(batch, m)`` block of the ``m`` free nodes.
+        ``drift`` maps a full ``(batch, n)`` state to the ``(batch, m)``
+        free-node currents (see :func:`free_drift`).  Each accepted step
+        advances the block by the drift, adds node noise and clips it to
+        the rail.  It then writes the block back into ``sigma``, which
+        stays the drift's input and the recorded frame.  The clamped
+        columns are never written again.  RK4 and adaptive stages are
+        copies of the state with only their clipped free block replaced.
+        Without clamps the block is the state itself.
+
+        This computes the bits of the loop that advanced all ``n`` columns
+        and re-asserted the clamps after every step and stage:
+
+        * every free entry goes through the same IEEE operations in the
+          same order, and a clamped entry's only value is its clamp;
+        * noise is drawn at the full ``(batch, n)`` shape and then sliced,
+          so the random stream does not move;
+        * clamped columns never move, so the settling movement and the
+          adaptive error need only the free columns.
+
+        ``tests/core/test_free_node_integration.py`` pins this against the
+        full-width loop byte for byte.
 
         Two settings of the config shape the run:
 
@@ -690,16 +753,18 @@ class CircuitSimulator:
           ``(active, n)`` matrix, and holds its state.  The run ends at
           the step that freezes the last member.
 
-        Every accepted step applies drift, noise, then rails and clamps.
         The initial state and every ``record_every``-th step (plus the last
         one) are recorded; ``tail`` keeps only the last ``tail`` of those
         frames, and ``None`` keeps them all.  ``energy`` is evaluated once
         per kept frame, after the loop.
         Returns ``(times, states, energies, stats)``; ``stats`` carries the
-        step, rejection and freeze-out counts of :meth:`_observe_run`.
+        step, rejection, freeze-out and rail-clip counts of
+        :meth:`_observe_run`.
         """
         cfg = self.config
-        batch = sigma.shape[0]
+        batch, n = sigma.shape
+        clamped = free.size < n
+        cols = node_columns(free)
 
         # Energy-descent probe: only live when tracing is on AND an energy
         # callable exists; otherwise the loop carries no probe branch cost
@@ -711,8 +776,9 @@ class CircuitSimulator:
             else 0
         )
         check_every = cfg.divergence_check_every
+        count_clips = obs.metrics().enabled and cfg.rail is not None
+        rail_clips = 0
         inv_c = 1.0 / cfg.capacitance
-        per_sample = clamp_value.ndim == 2
         noise_scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
         if cfg.adaptive:
             dt_min = cfg.resolved_dt_min()
@@ -729,28 +795,35 @@ class CircuitSimulator:
             dt = cfg.dt
             n_steps = fixed_step_count(duration, dt)
 
+        if clamped:
+            def merge(state: np.ndarray, block: np.ndarray) -> np.ndarray:
+                out = state.copy()
+                out[:, cols] = block
+                return out
+        else:
+            def merge(state: np.ndarray, block: np.ndarray) -> np.ndarray:
+                return block
+
         # (time, state) pairs; a bounded deque drops the oldest frame.
         frames = deque([(0.0, sigma.copy())], maxlen=tail)
 
         active = np.arange(batch)
         streak = np.zeros(batch, dtype=int)
-        reference = sigma.copy()
+        # The drift input of the active members and their free block; both
+        # are gathered again only when the active set shrinks.
+        state = sigma
+        block = sigma[:, cols] if clamped else sigma
+        reference = block.copy()
         step = rejected = member_steps = frozen_members = 0
         t = 0.0
         exited = False
         # A zero-length adaptive run takes no step; a fixed one takes one.
         done = cfg.adaptive and not t < horizon
         while not done:
-            full = active.size == batch
-            state = sigma if full else sigma[active]
-            cvals = (
-                clamp_value[active] if (per_sample and not full)
-                else clamp_value
-            )
             if cfg.adaptive:
                 dt = min(dt, duration - t)
                 proposal, err = self._adaptive_trial(
-                    drift, state, dt, inv_c, clamp_index, cvals
+                    drift, state, block, dt, inv_c, merge
                 )
                 if err > 1.0 and dt > dt_min * (1.0 + 1e-9):
                     rejected += 1
@@ -758,22 +831,32 @@ class CircuitSimulator:
                     dt = max(dt_min, dt * min(shrink, 1.0))
                     continue
             elif cfg.method == "euler":
-                proposal = state + dt * inv_c * drift(state)
+                proposal = block + dt * inv_c * drift(state)
             else:
-                proposal = self._rk4(drift, state, dt, inv_c, clamp_index, cvals)
+                proposal = self._rk4(drift, state, block, dt, inv_c, merge)
             if cfg.node_noise_std > 0:
                 # Thermal/shot noise enters through the same capacitor the
                 # signal does, so it accumulates per step like the drift.
-                proposal = proposal + self.rng.normal(
-                    0.0, noise_scale * np.sqrt(dt), size=proposal.shape
+                # The clamped capacitors are driven, so noise cannot
+                # displace them; it is still drawn for them, which keeps
+                # the random stream of a full-width draw.
+                noise = self.rng.normal(
+                    0.0, noise_scale * np.sqrt(dt), size=state.shape
                 )
-            # Clamps are re-asserted *after* noise injection: the observed
-            # capacitors are driven, so noise cannot displace them.
-            proposal = self._project(proposal, clamp_index, cvals)
-            if full:
-                sigma = proposal
+                proposal = proposal + (noise[:, cols] if clamped else noise)
+            if count_clips:
+                rail_clips += int(
+                    np.count_nonzero(np.abs(proposal) > cfg.rail)
+                )
+            block = self._project(proposal)
+            if clamped:
+                state[:, cols] = block
             else:
-                sigma[active] = proposal
+                state = block
+            if active.size == batch:
+                sigma = state
+            else:
+                sigma[active] = state
             step += 1
             member_steps += int(active.size)
             if cfg.adaptive:
@@ -807,15 +890,16 @@ class CircuitSimulator:
                 # Freeze members that moved less than the tolerance (the
                 # Trajectory.settled criterion) over settle_patience
                 # consecutive check windows.
-                moved = np.max(
-                    np.abs(sigma[active] - reference[active]), axis=1
-                )
+                moved = np.max(np.abs(block - reference), axis=1, initial=0.0)
                 under = moved <= cfg.settle_tolerance
                 streak[active] = np.where(under, streak[active] + 1, 0)
                 keep = streak[active] < cfg.settle_patience
-                frozen_members += int(active.size - keep.sum())
-                active = active[keep]
-                reference = sigma.copy()
+                if not keep.all():
+                    frozen_members += int(active.size - keep.sum())
+                    active = active[keep]
+                    state = sigma[active]
+                    block = state[:, cols] if clamped else state
+                reference = block.copy()
             exited = cfg.early_exit and active.size == 0
             if step % cfg.record_every == 0 or done or exited:
                 frames.append((t, sigma.copy()))
@@ -836,78 +920,63 @@ class CircuitSimulator:
             "frozen_members": frozen_members,
             "exited_early": exited,
             "final_time": float(times[-1]),
+            "free_nodes": int(free.size),
+            "rail_clips": rail_clips if obs.metrics().enabled else None,
         }
         return times, states, energies, stats
 
-    def _rk4(self, drift, y, h, inv_c, clamp_index, clamp_value) -> np.ndarray:
-        """One classical RK4 step of size ``h``.  Every intermediate stage
-        is rail- and clamp-projected; the result is not."""
+    def _rk4(self, drift, y, block, h, inv_c, merge) -> np.ndarray:
+        """One classical RK4 step of size ``h`` from the full state ``y``
+        whose free block is ``block``.  Every intermediate stage is the
+        state with its rail-clipped free block merged in; the returned
+        free block is not clipped."""
         k1 = drift(y)
-        k2 = drift(self._project(y + 0.5 * h * inv_c * k1, clamp_index, clamp_value))
-        k3 = drift(self._project(y + 0.5 * h * inv_c * k2, clamp_index, clamp_value))
-        k4 = drift(self._project(y + h * inv_c * k3, clamp_index, clamp_value))
-        return y + h * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        k2 = drift(merge(y, self._project(block + 0.5 * h * inv_c * k1)))
+        k3 = drift(merge(y, self._project(block + 0.5 * h * inv_c * k2)))
+        k4 = drift(merge(y, self._project(block + h * inv_c * k3)))
+        return block + h * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
     def _adaptive_trial(
-        self, drift, state, dt, inv_c, clamp_index, clamp_value
+        self, drift, state, block, dt, inv_c, merge
     ) -> tuple[np.ndarray, float]:
         """One trial step of the embedded pair at step size ``dt``.
 
         Returns ``(proposal, err)`` where ``proposal`` is the higher-order
-        solution *before* noise injection and projection and ``err`` is
-        the worst member's scaled local-error estimate (``<= 1``
-        accepts).  ``method="euler"`` uses the Heun/Euler embedded pair
-        (advance 2nd order, estimate 1st); ``method="rk4"`` uses
-        step-doubling (advance with two half steps, estimate from the
-        full-step difference).
+        free block *before* noise injection and the rail clip and ``err``
+        is the worst member's scaled local-error estimate over the free
+        nodes (``<= 1`` accepts).  ``method="euler"`` uses the Heun/Euler
+        embedded pair (advance 2nd order, estimate 1st); ``method="rk4"``
+        uses step-doubling (advance with two half steps, estimate from the
+        full-step difference).  Clamped nodes carry no error: the loop
+        never moves them.
         """
         cfg = self.config
         if cfg.method == "euler":
             k1 = drift(state)
-            euler = state + dt * inv_c * k1
-            k2 = drift(self._project(euler, clamp_index, clamp_value))
-            proposal = state + 0.5 * dt * inv_c * (k1 + k2)
+            euler = block + dt * inv_c * k1
+            k2 = drift(merge(state, self._project(euler)))
+            proposal = block + 0.5 * dt * inv_c * (k1 + k2)
             err_vec = proposal - euler
         else:
-            args = (inv_c, clamp_index, clamp_value)
-            coarse = self._rk4(drift, state, dt, *args)
+            args = (inv_c, merge)
+            coarse = self._rk4(drift, state, block, dt, *args)
             half = self._project(
-                self._rk4(drift, state, 0.5 * dt, *args), clamp_index, clamp_value
+                self._rk4(drift, state, block, 0.5 * dt, *args)
             )
-            proposal = self._rk4(drift, half, 0.5 * dt, *args)
+            proposal = self._rk4(
+                drift, merge(state, half), half, 0.5 * dt, *args
+            )
             err_vec = proposal - coarse
-        if clamp_index.size:
-            # Clamped coordinates are overwritten by the projection after
-            # every accepted step; their (never-vanishing) drift must not
-            # hold the shared step size down.
-            err_vec[..., clamp_index] = 0.0
         scale = cfg.atol + cfg.rtol * np.maximum(
-            np.abs(state), np.abs(proposal)
+            np.abs(block), np.abs(proposal)
         )
         ratio = np.abs(err_vec) / scale
         return proposal, float(ratio.max()) if ratio.size else 0.0
 
-    def _project(
-        self,
-        sigma: np.ndarray,
-        clamp_index: np.ndarray,
-        clamp_value: np.ndarray,
-    ) -> np.ndarray:
-        """Apply voltage rails and re-assert clamped nodes.
-
-        Works on a single ``(n,)`` state or a ``(batch, n)`` matrix;
-        ``clamp_value`` may be shared ``(k,)`` or per-sample ``(batch, k)``.
-        """
-        cfg = self.config
-        if cfg.rail is not None:
-            sigma = np.clip(sigma, -cfg.rail, cfg.rail)
-        elif clamp_index.size:
-            # Never write into the caller's array: _adaptive_trial still
-            # reads its unprojected Euler state.
-            sigma = sigma.copy()
-        if clamp_index.size:
-            sigma[..., clamp_index] = clamp_value
-        return sigma
+    def _project(self, block: np.ndarray) -> np.ndarray:
+        """Clip a free block to the voltage rails (a no-op without rails)."""
+        rail = self.config.rail
+        return block if rail is None else np.clip(block, -rail, rail)
 
     def perturbed_coupling(self, J: np.ndarray) -> np.ndarray:
         """Sample a noisy coupling matrix (Sec. V.G coupler noise).

@@ -557,14 +557,21 @@ class NaturalAnnealingEngine:
         shared by the batch — device mismatch is static on a physical chip,
         so samples running on the same hardware see the same perturbation.
 
-        Only what the result exposes is computed: the trajectory holds the
-        last two recorded frames (what
+        Only what the result exposes is computed.  The loop advances only
+        the free nodes
+        (:meth:`~repro.core.dynamics.CircuitSimulator._integrate`).  On the
+        sparse backend without coupler noise the drift multiplies only
+        their CSR rows
+        (:meth:`~repro.core.operators.CouplingOperator._rows_drift`); the
+        dense and coupler-noise drifts compute every row, and the loop
+        keeps the free ones.  The trajectory holds the last two recorded
+        frames (what
         :meth:`~repro.core.dynamics.BatchTrajectory.settled_fraction`
-        reads), and H_RV is evaluated for those two alone.  On the sparse
-        backend without coupler noise, the drift multiplies only the CSR
-        rows of the free nodes; the clamped rows are overwritten after
-        every step and RK4 stage, so states, predictions and the two
-        frames equal those of a full ``run_batch`` bit for bit.
+        reads), and H_RV is evaluated for those two alone.  States,
+        predictions and the two frames equal those of a ``run_batch`` with
+        the operator's full drift bit for bit: each free value goes
+        through the same floating-point operations, and CSR row slicing
+        keeps each row's summation order.
 
         Args:
             observed_index: Indices of observed nodes (shared by the batch).
@@ -602,8 +609,9 @@ class NaturalAnnealingEngine:
             drift = operator._rows_drift(free_index)
             drift_rows = free_index.size
         else:
-            # Dense and coupler-noise drifts stay full: a column-subset
-            # GEMM can change their last bits.
+            # Dense and coupler-noise drifts compute every row, and the
+            # loop keeps the free ones: a column-subset GEMM can change
+            # their last bits.
             drift = self._drift_function(simulator, operator)
             drift_rows = n
 

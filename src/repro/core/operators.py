@@ -57,6 +57,19 @@ DEFAULT_MIN_SPARSE_SIZE = 64
 DEFAULT_MAX_UPDATE_RANK = 32
 
 
+def node_columns(index: np.ndarray):
+    """``index`` as a slice when it is one ascending run of consecutive
+    nodes (the predicted nodes of a window are), else unchanged.
+
+    Both select the same columns; with the slice numpy returns views and
+    assigns blocks instead of gathering and scattering.
+    """
+    index = np.asarray(index)
+    if index.size and np.all(np.diff(index) == 1):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def _offdiag_density(J) -> float:
     """Fraction of non-zero off-diagonal entries of dense or sparse ``J``."""
     n = J.shape[0]
@@ -630,24 +643,29 @@ class CouplingOperator:
         return self.matvec(sigma) + self.h * sigma
 
     def _rows_drift(self, rows: np.ndarray):
-        """A drift that multiplies only the coupling rows ``rows``.
+        """The drift currents of the nodes ``rows`` alone.
 
-        Returns ``sigma -> h * sigma`` plus ``J[rows] sigma`` on the
-        columns ``rows``; the other columns lack their coupling current.
-        For runs that overwrite those columns after every step (the
-        clamped nodes of inference).  On CSR storage row slicing keeps
-        each row's summation order, so the ``rows`` columns equal
-        :meth:`drift`'s bit for bit.
+        Returns ``sigma -> h[rows] * sigma[..., rows] + (J[rows] @
+        sigma.T).T``: a full ``(..., n)`` state in, ``(..., len(rows))``
+        currents out, as the integration loop of
+        :class:`~repro.core.dynamics.CircuitSimulator` takes them when
+        ``rows`` are its free nodes.  The callable carries ``rows`` as its
+        ``rows`` attribute, which tells the loop what it computes.  On CSR
+        storage row slicing keeps each row's summation order, and each
+        current is the same product plus the same sum as in
+        :meth:`drift`, so it equals :meth:`drift`'s ``rows`` columns bit
+        for bit.
         """
+        rows = np.asarray(rows, dtype=int)
         J_rows = self._J[rows]
-        h = self.h
+        h_rows = self.h[rows]
+        cols = node_columns(rows)
 
         def drift(sigma: np.ndarray) -> np.ndarray:
-            out = h * sigma
             x = np.asarray(sigma, dtype=self.dtype)
-            out[..., rows] += np.asarray(J_rows @ x.T).T
-            return out
+            return h_rows * sigma[..., cols] + np.asarray(J_rows @ x.T).T
 
+        drift.rows = rows
         return drift
 
     def gradient(self, sigma: np.ndarray) -> np.ndarray:

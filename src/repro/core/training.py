@@ -207,6 +207,14 @@ def fit_precision_masked(
     z = (samples - mean) / scale
     S = z.T @ z / num_samples
     S.flat[:: n + 1] += config.ridge
+    # The descent divides by every diagonal entry of S.
+    degenerate = np.flatnonzero(~(np.diag(S) > 0.0))
+    if degenerate.size:
+        j = int(degenerate[0])
+        raise ValueError(
+            f"variable {j} has regularized variance {S[j, j]!r}; a constant "
+            "variable needs ridge > 0"
+        )
 
     omega, sweeps, last_update = _concord_descent(S, mask, max_sweeps, tol)
 

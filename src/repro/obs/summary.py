@@ -160,6 +160,16 @@ def _adaptive_path_lines(counters: dict) -> list[str]:
     return lines
 
 
+def _circuit_rail_line(counters: dict) -> list[str]:
+    """Free-node values the circuit integrator's rail clip moved, over how
+    many runs; printed only when the trace carries the counter."""
+    clips = counters.get("circuit.rail_clips")
+    if clips is None:
+        return []
+    runs = counters.get("circuit.runs") or 0
+    return [f"circuit rails: {clips} free-node values clipped over {runs} runs"]
+
+
 def _finetune_line(counters: dict) -> list[str]:
     """CONCORD fine-tunes the decompositions ran, and how many stopped at
     their sweep cap before the largest update fell below the tolerance."""
@@ -263,7 +273,8 @@ def format_metrics(snapshot: dict) -> str:
     hit rate, the shared-memory transport summary (bytes shared vs bytes
     pickled, attach/detach balance), the annealing-path efficiency of
     adaptive/early-exit integrations (member-step savings, step
-    acceptance rate), the CONCORD fine-tunes and how many stopped at their
+    acceptance rate), the free-node values the circuit rail clipped, the
+    CONCORD fine-tunes and how many stopped at their
     sweep cap, the DSPU mappings built and reused, and the DSPU
     propagator-cache hit rate with the builds' stability-guard decisions
     (damped builds, capped phases, exact growth bounds).
@@ -301,6 +312,7 @@ def format_metrics(snapshot: dict) -> str:
         derived.append(f"LU-cache hit rate: {100.0 * rate:.1f}%")
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
+    derived.extend(_circuit_rail_line(counters))
     derived.extend(_finetune_line(counters))
     derived.extend(_dspu_mapping_line(counters))
     derived.extend(_propagator_cache_line(counters))

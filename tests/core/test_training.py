@@ -153,6 +153,16 @@ class TestFitPrecisionMasked:
         with pytest.raises(ValueError, match="mask"):
             fit_precision_masked(samples, np.zeros((3, 3), dtype=bool))
 
+    def test_constant_variable_without_ridge_is_rejected(self):
+        samples = np.random.default_rng(0).normal(size=(50, 4))
+        samples[:, 2] = 0.0
+        mask = ~np.eye(4, dtype=bool)
+        with pytest.raises(ValueError, match="variable 2 .*ridge > 0"):
+            fit_precision_masked(samples, mask, TrainingConfig(ridge=0.0))
+        # Any ridge gives the constant variable a positive variance.
+        model = fit_precision_masked(samples, mask, TrainingConfig(ridge=1e-2))
+        assert np.all(np.isfinite(model.J)) and np.all(model.h < 0)
+
 
 class TestFitRegression:
     def test_learns_gaussian_structure(self, gaussian_samples):

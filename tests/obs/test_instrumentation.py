@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import IntegrationConfig, NaturalAnnealingEngine
+from repro.core import (
+    CircuitSimulator,
+    IntegrationConfig,
+    NaturalAnnealingEngine,
+)
 from repro.gnn import GNNTrainConfig, GNNTrainer, GraphWaveNet, default_adjacency
 from repro.hardware import ScalableDSPU
 from repro.obs import read_trace
@@ -41,6 +45,43 @@ class TestCircuitTelemetry:
         (infer_span,) = _span_records(records, "engine.infer_batch")
         assert infer_span["attributes"]["batch"] == 4
         assert run_span["parent_id"] == infer_span["span_id"]
+
+    @staticmethod
+    def _two_node_run(tmp_path, coupling, h_free, clamp):
+        """Node 0 clamped, node 1 free, 50 Euler steps of 0.1 ns."""
+        J = np.array([[0.0, coupling], [coupling, 0.0]])
+        h = np.array([-1.0, h_free])
+        path = tmp_path / "trace.jsonl"
+        simulator = CircuitSimulator(config=IntegrationConfig(dt=0.1))
+        with obs.observe(trace_path=path) as (registry, _tracer):
+            trajectory = simulator.run(
+                lambda sigma: J @ sigma + h * sigma, np.zeros(2), 5.0,
+                clamp_index=np.array([0]), clamp_value=np.array([clamp]),
+            )
+            clips = registry.snapshot()["counters"]["circuit.rail_clips"]
+        (span,) = _span_records(read_trace(path), "circuit.run")
+        assert span["attributes"]["free_nodes"] == 1
+        assert span["attributes"]["rail_clips"] == clips
+        return trajectory, clips
+
+    def test_rail_clips_count_free_values_the_clip_moved(self, tmp_path):
+        # The free node's equilibrium, 2.0, lies beyond the rail: once it
+        # reaches the rail, every step pushes it past and the clip pulls it
+        # back.
+        _, clips = self._two_node_run(tmp_path, 1.0, -0.5, 1.0)
+        x, expected = 0.0, 0
+        for _ in range(50):
+            x = x + 0.1 * (-0.5 * x + 1.0)
+            if abs(x) > 1.0:
+                expected += 1
+                x = 1.0
+        assert clips == expected > 0
+
+    def test_clamp_beyond_the_rail_is_not_a_clip(self, tmp_path):
+        trajectory, clips = self._two_node_run(tmp_path, 0.1, -1.0, 5.0)
+        assert trajectory.final_state[0] == 5.0
+        assert np.all(np.abs(trajectory.states[:, 1]) < 1.0)
+        assert clips == 0
 
     def test_energy_probe_events_descend(self, trained_model, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -177,6 +177,22 @@ class TestFormatting:
         )
         assert lines[finetune + 1].startswith("DSPU mappings: ")
 
+    def test_format_metrics_circuit_rail_line(self):
+        text = format_metrics(
+            {
+                "counters": {"circuit.rail_clips": 0, "circuit.runs": 3},
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        assert "circuit rails: 0 free-node values clipped over 3 runs" in text
+
+    def test_format_metrics_without_rail_counter_has_no_rail_line(self):
+        text = format_metrics(
+            {"counters": {"circuit.runs": 3}, "gauges": {}, "histograms": {}}
+        )
+        assert "circuit rails" not in text
+
     def test_format_metrics_without_fits_has_no_finetune_line(self):
         text = format_metrics(
             {"counters": {"circuit.steps": 100}, "gauges": {}, "histograms": {}}
