@@ -353,34 +353,29 @@ def fixed_step_count(duration: float, dt: float) -> int:
     return max(1, int(round(duration / dt)))
 
 
-def free_drift(drift, free: np.ndarray, n: int):
-    """``drift`` as the integration loop calls it: the full ``(..., n)``
-    state in, the currents of the ``free`` nodes out.
+def free_drift(drift, free: np.ndarray, sigma: np.ndarray):
+    """``drift`` as the integration loop calls it for one run: the full
+    ``(..., n)`` state in, the currents of the ``free`` nodes out.
 
-    A drift made by :meth:`~repro.core.operators.CouplingOperator._rows_drift`
-    names the nodes it computes in its ``rows`` attribute and is sliced down
-    to ``free`` only where the two differ (stuck nodes among its rows).
-    Every other drift returns all ``n`` currents and is sliced to ``free``,
-    unless every node is free.
+    ``sigma`` is the run's starting state, its clamped columns (the nodes
+    not in ``free``) already written; they hold those values for the whole
+    run.  A drift made by
+    :meth:`~repro.core.operators.CouplingOperator._rows_drift` is bound to
+    them: its leading clamped CSR entries are folded into a per-member
+    prefix, and the result has a ``select`` method that
+    :meth:`CircuitSimulator._integrate` calls to keep the surviving
+    members' prefix when the early-exit freeze-out shrinks the batch.
+    Every other drift returns all ``n`` currents and is sliced to
+    ``free``, unless every node is free.
     """
-    rows = getattr(drift, "rows", None)
-    if rows is None:
-        if free.size == n:
-            return drift
-        cols = free
-    elif np.array_equal(rows, free):
+    if hasattr(drift, "bind"):
+        return drift.bind(sigma, free)
+    if free.size == sigma.shape[-1]:
         return drift
-    else:
-        position = np.full(n, -1)
-        position[rows] = np.arange(rows.size)
-        cols = position[free]
-        if np.any(cols < 0):
-            raise ValueError("the drift does not compute every free node")
+    cols = node_columns(free)
 
-    cols = node_columns(cols)
-
-    def sliced(sigma: np.ndarray) -> np.ndarray:
-        return np.asarray(drift(sigma))[..., cols]
+    def sliced(state: np.ndarray) -> np.ndarray:
+        return np.asarray(drift(state))[..., cols]
 
     return sliced
 
@@ -459,7 +454,7 @@ class CircuitSimulator:
         clamp_index, clamp_value = self._with_stuck(clamp_index, clamp_value)
         sigma[clamp_index] = clamp_value
         free = np.setdiff1d(np.arange(n), clamp_index)
-        drift = free_drift(drift, free, n)
+        drift = free_drift(drift, free, sigma)
 
         def drift_batch(states: np.ndarray) -> np.ndarray:
             return np.asarray(drift(states[0]))[None, :]
@@ -480,7 +475,7 @@ class CircuitSimulator:
                 times=times, states=states[:, 0, :], energies=energies[:, 0]
             )
             if obs.enabled():
-                self._observe_run(span, duration, batch=1, stats=stats)
+                self._observe_run(span, duration, 1, stats, drift)
                 span.set("settled", bool(trajectory.settled()))
         return trajectory
 
@@ -576,24 +571,27 @@ class CircuitSimulator:
             "circuit.run_batch", batch=batch, n=n, method=self.config.method
         ) as span:
             with obs.metrics().timer("circuit.run_batch_ms"):
+                drift = free_drift(drift, free, sigma)
                 times, states, energies, stats = self._integrate(
-                    free_drift(drift, free, n), sigma, duration, free, energy,
-                    tail=tail,
+                    drift, sigma, duration, free, energy, tail=tail
                 )
             trajectory = BatchTrajectory(
                 times=times, states=states, energies=energies
             )
             if obs.enabled():
-                self._observe_run(span, duration, batch=batch, stats=stats)
+                self._observe_run(span, duration, batch, stats, drift)
                 fraction = trajectory.settled_fraction()
                 obs.metrics().gauge("circuit.settled_fraction").set(fraction)
                 span.set("settled_fraction", fraction)
         return trajectory
 
     def _observe_run(
-        self, span, duration: float, batch: int, stats: dict
+        self, span, duration: float, batch: int, stats: dict, drift
     ) -> None:
-        """Record the per-run counters shared by :meth:`run`/:meth:`run_batch`."""
+        """Record the per-run counters shared by :meth:`run`/:meth:`run_batch`.
+
+        ``drift`` is the run's drift as :func:`free_drift` bound it.
+        """
         steps = stats["steps"]
         registry = obs.metrics()
         registry.counter("circuit.runs").inc()
@@ -605,6 +603,14 @@ class CircuitSimulator:
         if stats["rail_clips"] is not None:
             registry.counter("circuit.rail_clips").inc(stats["rail_clips"])
             span.set("rail_clips", stats["rail_clips"])
+        folded = getattr(drift, "folded_entries", None)
+        if folded is not None:
+            # CSR entries each step multiplies, and those folded into the
+            # constant clamped drive (see CouplingOperator._rows_drift).
+            registry.counter("circuit.drift_entries").inc(drift.drift_entries)
+            registry.counter("circuit.folded_entries").inc(folded)
+            span.set("drift_entries", drift.drift_entries)
+            span.set("folded_entries", folded)
         # Adaptive / early-exit telemetry: the step-count, rejected-step,
         # and freeze-out counters the tune CLI and `repro obs summarize`
         # derive schedule efficiency from.  Zero-valued entries are not
@@ -720,26 +726,33 @@ class CircuitSimulator:
         nodes) already written; ``free`` lists the other, sorted.  The loop
         integrates only the ``(batch, m)`` block of the ``m`` free nodes.
         ``drift`` maps a full ``(batch, n)`` state to the ``(batch, m)``
-        free-node currents (see :func:`free_drift`).  Each accepted step
-        advances the block by the drift, adds node noise and clips it to
-        the rail.  It then writes the block back into ``sigma``, which
-        stays the drift's input and the recorded frame.  The clamped
-        columns are never written again.  RK4 and adaptive stages are
-        copies of the state with only their clipped free block replaced.
-        Without clamps the block is the state itself.
+        free-node currents, bound to this run by :func:`free_drift`.  A
+        bound CSR rows drift carries the clamped nodes' constant drive as a
+        per-member prefix; when the freeze-out shrinks the batch, the loop
+        keeps the survivors' prefix through the drift's ``select``.  Each
+        accepted step advances the block by the drift, adds node noise and
+        clips it to the rail.  It then writes the block back into
+        ``sigma``, which stays the drift's input and the recorded frame.
+        The clamped columns are never written again.  RK4 and adaptive
+        stages are copies of the state with only their clipped free block
+        replaced.  Without clamps the block is the state itself.
 
         This computes the bits of the loop that advanced all ``n`` columns
         and re-asserted the clamps after every step and stage:
 
         * every free entry goes through the same IEEE operations in the
           same order, and a clamped entry's only value is its clamp;
+        * the noise is added and the rail clip runs in place, on arrays
+          the step itself allocated, never on one a drift returned;
         * noise is drawn at the full ``(batch, n)`` shape and then sliced,
           so the random stream does not move;
         * clamped columns never move, so the settling movement and the
-          adaptive error need only the free columns.
+          adaptive error need only the free columns, and a bound drift's
+          prefix stays valid for the whole run.
 
         ``tests/core/test_free_node_integration.py`` pins this against the
-        full-width loop byte for byte.
+        full-width loop byte for byte, and
+        ``tests/core/test_clamped_prefix.py`` pins the bound drift.
 
         Two settings of the config shape the run:
 
@@ -843,7 +856,7 @@ class CircuitSimulator:
                 noise = self.rng.normal(
                     0.0, noise_scale * np.sqrt(dt), size=state.shape
                 )
-                proposal = proposal + (noise[:, cols] if clamped else noise)
+                proposal += noise[:, cols] if clamped else noise
             if count_clips:
                 rail_clips += int(
                     np.count_nonzero(np.abs(proposal) > cfg.rail)
@@ -899,6 +912,10 @@ class CircuitSimulator:
                     active = active[keep]
                     state = sigma[active]
                     block = state[:, cols] if clamped else state
+                    # A drift bound to this run's clamps (free_drift) keeps
+                    # the surviving members' clamped prefix.
+                    if hasattr(drift, "select"):
+                        drift = drift.select(keep)
                 reference = block.copy()
             exited = cfg.early_exit and active.size == 0
             if step % cfg.record_every == 0 or done or exited:
@@ -954,7 +971,7 @@ class CircuitSimulator:
         if cfg.method == "euler":
             k1 = drift(state)
             euler = block + dt * inv_c * k1
-            k2 = drift(merge(state, self._project(euler)))
+            k2 = drift(merge(state, self._project(euler.copy())))
             proposal = block + 0.5 * dt * inv_c * (k1 + k2)
             err_vec = proposal - euler
         else:
@@ -974,9 +991,13 @@ class CircuitSimulator:
         return proposal, float(ratio.max()) if ratio.size else 0.0
 
     def _project(self, block: np.ndarray) -> np.ndarray:
-        """Clip a free block to the voltage rails (a no-op without rails)."""
+        """Clip a free block the loop allocated to the voltage rails, in
+        place, and return it (a no-op without rails).  ``ndarray.clip`` is
+        the ufunc behind ``np.clip``."""
         rail = self.config.rail
-        return block if rail is None else np.clip(block, -rail, rail)
+        if rail is not None:
+            block.clip(-rail, rail, out=block)
+        return block
 
     def perturbed_coupling(self, J: np.ndarray) -> np.ndarray:
         """Sample a noisy coupling matrix (Sec. V.G coupler noise).

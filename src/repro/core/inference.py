@@ -562,16 +562,22 @@ class NaturalAnnealingEngine:
         (:meth:`~repro.core.dynamics.CircuitSimulator._integrate`).  On the
         sparse backend without coupler noise the drift multiplies only
         their CSR rows
-        (:meth:`~repro.core.operators.CouplingOperator._rows_drift`); the
-        dense and coupler-noise drifts compute every row, and the loop
-        keeps the free ones.  The trajectory holds the last two recorded
-        frames (what
+        (:meth:`~repro.core.operators.CouplingOperator._rows_drift`), and
+        the run binds it to the clamps: the observed frames' constant
+        drive, every row's leading clamped entries, is summed once per
+        call into a per-sample prefix, and each step multiplies only the
+        remaining entries (on the paper's windows, the free block).  When
+        the early-exit freeze-out shrinks the batch, the drift keeps the
+        surviving samples' prefix.  The dense and coupler-noise drifts
+        compute every row, and the loop keeps the free ones.  The
+        trajectory holds the last two recorded frames (what
         :meth:`~repro.core.dynamics.BatchTrajectory.settled_fraction`
         reads), and H_RV is evaluated for those two alone.  States,
         predictions and the two frames equal those of a ``run_batch`` with
         the operator's full drift bit for bit: each free value goes
-        through the same floating-point operations, and CSR row slicing
-        keeps each row's summation order.
+        through the same floating-point operations, CSR row slicing keeps
+        each row's summation order, and continuing a row's sum from its
+        clamped prefix makes the same additions as summing it whole.
 
         Args:
             observed_index: Indices of observed nodes (shared by the batch).

@@ -25,9 +25,12 @@ matvec per integration step across a whole batch of samples.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 from scipy import sparse as sp
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .fingerprint import content_fingerprint
@@ -68,6 +71,132 @@ def node_columns(index: np.ndarray):
     if index.size and np.all(np.diff(index) == 1):
         return slice(int(index[0]), int(index[-1]) + 1)
     return index
+
+
+def _csr_accumulate(indptr, indices, data, columns: int, x, out) -> None:
+    """``out += A @ x`` for the CSR rows ``A = (indptr, indices, data)``
+    over ``columns`` input rows.
+
+    This is scipy's CSR kernel without the zeroed output and the copy of
+    ``x`` that its ``@`` adds.  Each ``out`` entry starts from its current
+    value and adds ``data[k] * x[indices[k]]`` in storage order, with one
+    rounding per product and one per sum.  ``x`` is ``(columns,)`` or
+    ``(columns, batch)``, ``out`` is ``(rows,)`` or ``(rows, batch)``, and
+    both are C-contiguous with ``data``'s dtype.  The kernel checks no
+    bounds, so the shapes are checked here, and ``indices`` must lie in
+    ``[0, columns)``.  ``tests/core/test_clamped_prefix.py`` pins the
+    kernel's arithmetic.
+    """
+    rows = indptr.size - 1
+    if x.shape[:1] != (columns,) or out.shape != (rows,) + x.shape[1:]:
+        raise ValueError(
+            f"cannot accumulate {rows} rows over {columns} columns from an "
+            f"input of shape {x.shape} into shape {out.shape}"
+        )
+    vectors = x.shape[1] if x.ndim == 2 else 1
+    _sparsetools.csr_matvecs(
+        rows, columns, vectors, indptr, indices, data, x, out
+    )
+
+
+class _RowsDrift:
+    """The drift currents of the nodes ``rows`` alone, optionally bound to
+    one run (see :meth:`CouplingOperator._rows_drift`).
+
+    A full ``(n,)`` or ``(batch, n)`` state in, ``h[rows] * sigma[...,
+    rows] + (J[rows] @ sigma.T).T`` out, each CSR row summed in storage
+    order by :func:`_csr_accumulate`.
+
+    :meth:`bind` fixes the run's free nodes and clamped values.  The
+    leading entries of each row whose columns are clamped are summed once,
+    into a per-member *prefix*, and each call continues the row sums from
+    it over the remaining entries.  A clamped entry that follows a free
+    one stays in the per-call sums: it falls between two partial sums that
+    change, and floating-point addition is not associative.  Each call
+    then gathers only the free columns and the clamped columns the
+    remaining entries read.  Unbound, the prefix is empty: every entry is
+    summed per call, from +0.0.
+    """
+
+    def __init__(self, J_rows, h_rows, rows, free=None, sigma=None):
+        self.rows = rows
+        self.dtype = J_rows.dtype
+        self._J_rows = J_rows
+        self._h = h_rows
+        self._cols = node_columns(rows)
+        count, n = J_rows.shape
+        indptr, indices, data = J_rows.indptr, J_rows.indices, J_rows.data
+        self._prefix = None
+        if free is None:
+            self._rest = (indptr, indices, data, n)
+            self._read = slice(0, n)
+        else:
+            itype = indices.dtype
+            is_free = np.zeros(n, dtype=bool)
+            is_free[free] = True
+            # An entry leads when no entry of its row up to it is free.
+            seen = np.cumsum(is_free[indices])
+            before = np.concatenate(([0], seen))[indptr[:-1]]
+            lead = seen == np.repeat(before, np.diff(indptr))
+            rest = ~lead
+            lead_ptr = np.concatenate(([0], np.cumsum(lead)))[indptr]
+            lead_ptr = lead_ptr.astype(itype)
+            # Each call reads the free columns and those the rest reads.
+            is_free[indices[rest]] = True
+            read = np.flatnonzero(is_free)
+            position = np.zeros(n, dtype=itype)
+            position[read] = np.arange(read.size)
+            self._rest = (
+                indptr - lead_ptr,
+                position[indices[rest]],
+                data[rest],
+                read.size,
+            )
+            self._read = node_columns(read)
+            x = np.ascontiguousarray(np.asarray(sigma).T, dtype=self.dtype)
+            self._prefix = np.zeros((count,) + x.shape[1:], dtype=self.dtype)
+            _csr_accumulate(
+                lead_ptr, indices[lead], data[lead], n, x, self._prefix
+            )
+        #: CSR entries each call multiplies, and those folded into the prefix.
+        self.drift_entries = int(self._rest[2].size)
+        self.folded_entries = int(indices.size) - self.drift_entries
+
+    def __call__(self, sigma):
+        sigma = np.asarray(sigma)
+        x = np.ascontiguousarray(sigma.T[self._read], dtype=self.dtype)
+        if self._prefix is None:
+            sums = np.zeros((self.rows.size,) + x.shape[1:], dtype=self.dtype)
+        else:
+            sums = self._prefix.copy()
+        _csr_accumulate(*self._rest, x, sums)
+        currents = self._h * sigma[..., self._cols]
+        currents += sums.T
+        return currents
+
+    def bind(self, sigma: np.ndarray, free: np.ndarray) -> "_RowsDrift":
+        """This drift for one run: the currents of the sorted ``free``
+        nodes, for states whose other columns hold ``sigma``'s values.
+
+        Raises ``ValueError`` when a free node is not among :attr:`rows`.
+        """
+        position = np.full(self._J_rows.shape[1], -1)
+        position[self.rows] = np.arange(self.rows.size)
+        keep = position[free]
+        if np.any(keep < 0):
+            raise ValueError("the drift does not compute every free node")
+        return _RowsDrift(
+            self._J_rows[keep], self._h[keep], self.rows[keep], free, sigma
+        )
+
+    def select(self, members) -> "_RowsDrift":
+        """A bound batch drift for the batch members ``members`` (an index
+        or a mask over the batch) alone."""
+        if self._prefix is None:
+            return self
+        narrowed = copy.copy(self)
+        narrowed._prefix = self._prefix[:, members]
+        return narrowed
 
 
 def _offdiag_density(J) -> float:
@@ -645,28 +774,37 @@ class CouplingOperator:
     def _rows_drift(self, rows: np.ndarray):
         """The drift currents of the nodes ``rows`` alone.
 
-        Returns ``sigma -> h[rows] * sigma[..., rows] + (J[rows] @
-        sigma.T).T``: a full ``(..., n)`` state in, ``(..., len(rows))``
-        currents out, as the integration loop of
+        Returns a callable ``sigma -> h[rows] * sigma[..., rows] + (J[rows]
+        @ sigma.T).T``: a full ``(n,)`` or ``(batch, n)`` state in,
+        ``len(rows)`` currents per state out, as the integration loop of
         :class:`~repro.core.dynamics.CircuitSimulator` takes them when
-        ``rows`` are its free nodes.  The callable carries ``rows`` as its
-        ``rows`` attribute, which tells the loop what it computes.  On CSR
-        storage row slicing keeps each row's summation order, and each
-        current is the same product plus the same sum as in
-        :meth:`drift`, so it equals :meth:`drift`'s ``rows`` columns bit
-        for bit.
+        ``rows`` are its free nodes.  It carries ``rows`` as its ``rows``
+        attribute.
+
+        The loop binds it once per run
+        (:func:`~repro.core.dynamics.free_drift`): the leading clamped
+        entries of every row are folded into a constant per-member prefix,
+        and each step sums only the remaining entries, continuing from it.
+        The early-exit freeze-out narrows the prefix to the surviving
+        members.  Called unbound, as here, nothing is folded.
+
+        The bits equal :meth:`drift`'s ``rows`` columns, bound or not.
+        scipy's CSR product starts each sum at +0.0 and adds ``J[i, j] *
+        sigma[j]`` in storage order, one rounding per product and one per
+        sum; row slicing keeps that order.  The clamped columns do not
+        change within a run, so a row's leading clamped terms and the
+        running sum after them are the same on every step, and continuing
+        from that sum makes exactly the additions the full product makes.
+        On the paper's windows every clamped entry of a row comes before
+        every free one, so the prefix holds the whole clamped drive.
+
+        Only the sparse backend has this drift: a dense ``J``'s BLAS
+        product does not sum in storage order.
         """
+        if self.backend != "sparse":
+            raise ValueError("a rows drift needs the sparse backend")
         rows = np.asarray(rows, dtype=int)
-        J_rows = self._J[rows]
-        h_rows = self.h[rows]
-        cols = node_columns(rows)
-
-        def drift(sigma: np.ndarray) -> np.ndarray:
-            x = np.asarray(sigma, dtype=self.dtype)
-            return h_rows * sigma[..., cols] + np.asarray(J_rows @ x.T).T
-
-        drift.rows = rows
-        return drift
+        return _RowsDrift(self._J[rows], self.h[rows], rows)
 
     def gradient(self, sigma: np.ndarray) -> np.ndarray:
         """Real-valued Hamiltonian gradient ``-2 (J sigma + h * sigma)``."""

@@ -400,6 +400,10 @@ class AnnealingOutcome:
         exited_early: The run settled (state unchanged over
             ``settle_patience`` consecutive full rotations) and stopped
             before the requested duration.
+        rotations_completed: Full Switch-in-turn rotations the phase
+            cursor completed.  A stalled sync edge does not advance the
+            cursor.  ``0`` on a multi-phase mapping means the readout
+            ended inside the first rotation: some phases never ran.
     """
 
     prediction: np.ndarray
@@ -410,6 +414,7 @@ class AnnealingOutcome:
     energy_trace: np.ndarray | None = None
     sync_skips: int = 0
     exited_early: bool = False
+    rotations_completed: int = 0
 
 
 class ScalableDSPU:
@@ -584,7 +589,10 @@ class ScalableDSPU:
         cap gate computed in ``exact_bounds``.  With metrics enabled, the
         span's ``clipped_intervals`` counts the control intervals in which
         the ±rail clip moved a free node, and the ``dspu.rail_clips``
-        counter the node values it moved.
+        counter the node values it moved.  The span's
+        ``rotations_completed`` counts the full Switch-in-turn rotations
+        (see :class:`AnnealingOutcome`), and the ``dspu.partial_rotations``
+        counter the multi-phase anneals that ended inside their first.
 
         Args:
             observed_index: Clamped (observed) node indices: in range and
@@ -823,6 +831,7 @@ class ScalableDSPU:
                 elif k >= num_intervals - rotation:
                     tail_states.append(sigma.copy())
 
+            rotations_completed = phase_cursor // num_phases
             if collect:
                 registry = obs.metrics()
                 registry.counter("dspu.anneal_runs").inc()
@@ -840,6 +849,12 @@ class ScalableDSPU:
                     registry.counter("dspu.sync_skips").inc(sync_skips)
                 if exited_early:
                     registry.counter("dspu.early_exits").inc()
+                # The readout of a multi-phase anneal that never completed
+                # a rotation averages a partial rotation: some phases
+                # never ran.
+                registry.counter("dspu.partial_rotations").inc(
+                    int(num_phases > 1 and rotations_completed == 0)
+                )
                 registry.counter("dspu.rail_clips").inc(rail_clips)
                 span.set("clipped_intervals", clipped_intervals)
                 for phase, elapsed in enumerate(phase_elapsed):
@@ -852,6 +867,7 @@ class ScalableDSPU:
             readout[clamp_index] = clamp_value
             prediction = self._denormalize_subset(free, readout)
             span.set("phases_completed", phases_completed)
+            span.set("rotations_completed", rotations_completed)
             if sync_skips:
                 span.set("sync_skips", sync_skips)
             if exited_early:
@@ -873,6 +889,7 @@ class ScalableDSPU:
             energy_trace=np.asarray(energy_trace) if record_energy else None,
             sync_skips=sync_skips,
             exited_early=exited_early,
+            rotations_completed=rotations_completed,
         )
 
     def _propagators(

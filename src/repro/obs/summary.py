@@ -170,6 +170,21 @@ def _circuit_rail_line(counters: dict) -> list[str]:
     return [f"circuit rails: {clips} free-node values clipped over {runs} runs"]
 
 
+def _circuit_drift_line(counters: dict) -> list[str]:
+    """CSR entries of the circuit drifts' free rows, and how many of them
+    were folded into the constant clamped drive instead of being
+    multiplied on every step; printed only when the trace carries the
+    counters."""
+    folded = counters.get("circuit.folded_entries")
+    if folded is None:
+        return []
+    total = folded + (counters.get("circuit.drift_entries") or 0)
+    return [
+        f"circuit drift: {folded} of {total} free-row CSR entries folded "
+        "into the clamped drive"
+    ]
+
+
 def _finetune_line(counters: dict) -> list[str]:
     """CONCORD fine-tunes the decompositions ran, and how many stopped at
     their sweep cap before the largest update fell below the tolerance."""
@@ -204,6 +219,20 @@ def _propagator_cache_line(counters: dict) -> list[str]:
         f"DSPU propagators: {100.0 * hits / (hits + builds):.1f}% of anneal "
         f"calls served from cache ({hits} hits, {builds} builds, "
         f"{damped} damped, {capped} capped phases, {exact} exact bounds)"
+    ]
+
+
+def _dspu_rotation_line(counters: dict) -> list[str]:
+    """DSPU anneals whose readout ended inside their first Switch-in-turn
+    rotation, against every anneal; printed only when the trace carries
+    the counter."""
+    partial = counters.get("dspu.partial_rotations")
+    if partial is None:
+        return []
+    runs = counters.get("dspu.anneal_runs") or 0
+    return [
+        f"DSPU rotations: {partial} of {runs} anneals ended inside their "
+        "first rotation"
     ]
 
 
@@ -274,10 +303,12 @@ def format_metrics(snapshot: dict) -> str:
     pickled, attach/detach balance), the annealing-path efficiency of
     adaptive/early-exit integrations (member-step savings, step
     acceptance rate), the free-node values the circuit rail clipped, the
+    circuit drifts' CSR entries folded into the clamped drive, the
     CONCORD fine-tunes and how many stopped at their
-    sweep cap, the DSPU mappings built and reused, and the DSPU
+    sweep cap, the DSPU mappings built and reused, the DSPU
     propagator-cache hit rate with the builds' stability-guard decisions
-    (damped builds, capped phases, exact growth bounds).
+    (damped builds, capped phases, exact growth bounds), and the DSPU
+    anneals that ended inside their first rotation.
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []
@@ -313,9 +344,11 @@ def format_metrics(snapshot: dict) -> str:
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
     derived.extend(_circuit_rail_line(counters))
+    derived.extend(_circuit_drift_line(counters))
     derived.extend(_finetune_line(counters))
     derived.extend(_dspu_mapping_line(counters))
     derived.extend(_propagator_cache_line(counters))
+    derived.extend(_dspu_rotation_line(counters))
     if derived:
         lines.append("")
         lines.extend(derived)

@@ -10,7 +10,8 @@ from repro.core import (
     NaturalAnnealingEngine,
 )
 from repro.gnn import GNNTrainConfig, GNNTrainer, GraphWaveNet, default_adjacency
-from repro.hardware import ScalableDSPU
+from repro.faults import FaultScenario
+from repro.hardware import HardwareConfig, ScalableDSPU
 from repro.obs import read_trace
 
 
@@ -189,6 +190,84 @@ class TestDSPUTelemetry:
         assert attrs["num_intervals"] == 2
         assert attrs["clamped_nodes"] == tw.observed_index.size
         assert attrs["phases_completed"] >= 1
+
+
+class TestRotationTelemetry:
+    """``rotations_completed`` and ``dspu.partial_rotations`` on an
+    8-phase mapping at a 200 ns sync interval."""
+
+    @pytest.fixture(scope="class")
+    def dspu(self, decomposed_traffic):
+        config = HardwareConfig(
+            grid_shape=(3, 3),
+            pe_capacity=decomposed_traffic.placement.capacity,
+            lanes=8,
+        )
+        dspu = ScalableDSPU(decomposed_traffic, config)
+        assert dspu.num_phases == 8
+        return dspu
+
+    @staticmethod
+    def _anneal(dspu, traffic_setup, tmp_path, **kwargs):
+        tw = traffic_setup["windowing"]
+        history = tw.history_of(traffic_setup["test"].series, 3)
+        path = tmp_path / "trace.jsonl"
+        with obs.observe(trace_path=path) as (registry, _tracer):
+            outcome = dspu.anneal(
+                tw.observed_index, history, sync_interval_ns=200.0, **kwargs
+            )
+            counters = registry.snapshot()["counters"]
+        (span,) = _span_records(read_trace(path), "dspu.anneal")
+        assert span["attributes"]["rotations_completed"] == (
+            outcome.rotations_completed
+        )
+        assert counters["dspu.anneal_runs"] == 1
+        return outcome, counters["dspu.partial_rotations"]
+
+    def test_five_intervals_over_eight_phases_is_partial(
+        self, dspu, traffic_setup, tmp_path
+    ):
+        outcome, partial = self._anneal(
+            dspu, traffic_setup, tmp_path, duration_ns=1000.0
+        )
+        assert outcome.phases_completed == 5
+        assert outcome.rotations_completed == 0
+        assert partial == 1
+
+    @pytest.mark.parametrize("duration_ns, rotations", [(1600.0, 1), (4000.0, 2)])
+    def test_full_rotations_are_counted(
+        self, dspu, traffic_setup, tmp_path, duration_ns, rotations
+    ):
+        outcome, partial = self._anneal(
+            dspu, traffic_setup, tmp_path, duration_ns=duration_ns
+        )
+        assert outcome.rotations_completed == rotations
+        assert partial == 0
+
+    def test_spatial_only_anneal_never_counts(
+        self, dspu, traffic_setup, tmp_path
+    ):
+        outcome, partial = self._anneal(
+            dspu, traffic_setup, tmp_path, duration_ns=1000.0,
+            force_spatial_only=True,
+        )
+        assert outcome.rotations_completed == 5
+        assert partial == 0
+
+    def test_sync_skips_stall_the_count(self, dspu, traffic_setup, tmp_path):
+        # 16 intervals are two rotations' worth, but 10 sync edges are
+        # missed: the phase cursor advances 6 times.
+        scenario = FaultScenario(
+            n=dspu.model.n, sync_skip_rate=0.5, seed=3
+        )
+        outcome, partial = self._anneal(
+            dspu, traffic_setup, tmp_path, duration_ns=3200.0,
+            faults=scenario,
+        )
+        assert outcome.phases_completed == 16
+        assert outcome.sync_skips == int(scenario.sync_skip_mask(16).sum()) == 10
+        assert outcome.rotations_completed == 0
+        assert partial == 1
 
 
 class TestGNNTelemetry:

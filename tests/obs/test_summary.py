@@ -187,6 +187,52 @@ class TestFormatting:
         )
         assert "circuit rails: 0 free-node values clipped over 3 runs" in text
 
+    def test_format_metrics_circuit_drift_line(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "circuit.drift_entries": 2696,
+                    "circuit.folded_entries": 1946,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        lines = text.splitlines()
+        assert (
+            "circuit drift: 1946 of 4642 free-row CSR entries folded into "
+            "the clamped drive"
+        ) in lines
+
+    def test_format_metrics_dspu_rotation_line(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "dspu.anneal_runs": 7,
+                    "dspu.partial_rotations": 5,
+                    "dspu.propagator_builds": 7,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        lines = text.splitlines()
+        rotations = lines.index(
+            "DSPU rotations: 5 of 7 anneals ended inside their first rotation"
+        )
+        assert lines[rotations - 1].startswith("DSPU propagators: ")
+
+    def test_format_metrics_without_fold_or_rotation_counters(self):
+        text = format_metrics(
+            {
+                "counters": {"circuit.runs": 3, "dspu.anneal_runs": 2},
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        assert "circuit drift" not in text
+        assert "DSPU rotations" not in text
+
     def test_format_metrics_without_rail_counter_has_no_rail_line(self):
         text = format_metrics(
             {"counters": {"circuit.runs": 3}, "gauges": {}, "histograms": {}}
