@@ -10,13 +10,13 @@ import json
 
 import pytest
 
-from repro.perf import run_core_benchmarks, write_bench_json
+from repro.perf import run_suite, write_bench_json
 
 pytestmark = pytest.mark.perf
 
 
 def test_bench_smoke_writes_valid_payload(tmp_path):
-    payload = run_core_benchmarks(smoke=True, repeats=1)
+    payload = run_suite("core", smoke=True, repeats=1)
     assert payload["benchmark"] == "core_hot_paths"
     assert payload["results"]
     for result in payload["results"]:

@@ -13,9 +13,9 @@ import pytest
 
 from repro.core.dynamics import IntegrationConfig
 from repro.core.inference import NaturalAnnealingEngine
-from repro.core.model import DSGLModel
+from repro.core.model import DSGLModel, random_sparse_system
 from repro.faults import FaultModel
-from repro.perf import _best_of_ms, random_sparse_system
+from repro.perf import _best_of_ms
 
 pytestmark = pytest.mark.perf
 

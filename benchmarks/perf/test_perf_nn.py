@@ -2,7 +2,7 @@
 default — run with ``--run-perf`` or ``REPRO_RUN_PERF=1``).
 
 The authoritative entry point is ``repro bench --suite nn``; these tests
-share its harness (:mod:`repro.perf_nn`) and gate the claims BENCH_nn.json
+share its harness (:mod:`repro.perf`) and gate the claims BENCH_nn.json
 records: sparse cached graph propagation beats dense autograd matmuls at
 real sensor-graph sizes, and the allocation-lean backward writes most
 gradients without defensive copies.
@@ -12,14 +12,13 @@ import json
 
 import pytest
 
-from repro.perf import write_bench_json
-from repro.perf_nn import bench_graphconv, run_nn_benchmarks
+from repro.perf import bench_graphconv, run_suite, write_bench_json
 
 pytestmark = pytest.mark.perf
 
 
 def test_bench_nn_smoke_writes_valid_payload(tmp_path):
-    payload = run_nn_benchmarks(smoke=True, repeats=1)
+    payload = run_suite("nn", smoke=True, repeats=1)
     assert payload["benchmark"] == "nn_fast_path"
     assert payload["results"]
     names = [result["name"] for result in payload["results"]]
@@ -53,7 +52,7 @@ def test_sparse_cached_graphconv_beats_dense():
 def test_backward_is_allocation_lean():
     """Most first gradient writes take ownership of temporaries; the
     float32 fast path must not copy more than the float64 baseline."""
-    payload = run_nn_benchmarks(smoke=True, repeats=1)
+    payload = run_suite("nn", smoke=True, repeats=1)
     train = next(r for r in payload["results"] if "train_epoch" in r["name"])
     for side in ("baseline", "optimized"):
         stats = train["grad_stats"][side]

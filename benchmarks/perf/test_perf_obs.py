@@ -11,8 +11,8 @@ import pytest
 
 from repro import obs
 from repro.core.inference import NaturalAnnealingEngine
-from repro.core.model import DSGLModel
-from repro.perf import _best_of_ms, random_sparse_system
+from repro.core.model import DSGLModel, random_sparse_system
+from repro.perf import _best_of_ms
 
 pytestmark = pytest.mark.perf
 

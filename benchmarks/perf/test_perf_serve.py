@@ -2,23 +2,26 @@
 
 These execute only under ``pytest benchmarks/perf --run-perf`` (the CI
 perf job) or with ``REPRO_RUN_PERF=1``.  The authoritative entry point
-is ``repro serve bench``, which shares the same harness in
-:mod:`repro.serve.bench`.
+is ``repro bench --suite serve``, which shares the same harness in
+:mod:`repro.perf`.
 """
 
 import json
 
 import pytest
 
-from repro.perf import write_bench_json
-from repro.serve import run_serve_benchmarks
-from repro.serve.bench import bench_serve_burst, bench_serve_overload
+from repro.perf import (
+    bench_serve_burst,
+    bench_serve_overload,
+    run_suite,
+    write_bench_json,
+)
 
 pytestmark = pytest.mark.perf
 
 
 def test_serve_bench_smoke_writes_valid_payload(tmp_path):
-    payload = run_serve_benchmarks(smoke=True, repeats=1)
+    payload = run_suite("serve", smoke=True, repeats=1)
     assert payload["benchmark"] == "serve_slo"
     open_rows = [
         r for r in payload["results"] if r["name"] == "serve_open_loop"

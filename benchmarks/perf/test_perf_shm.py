@@ -28,9 +28,9 @@ needs_shm = pytest.mark.skipif(
 def test_smoke_pickled_bytes_reduced_10x_at_8192():
     """The acceptance gate: >= 10x smaller task payloads at n >= 8192."""
     from repro.core.dynamics import CircuitSimulator, IntegrationConfig
+    from repro.core.model import random_sparse_mesh
     from repro.core.operators import CouplingOperator
     from repro.parallel import shard_task_bytes
-    from repro.perf import random_sparse_mesh
 
     n = 8192
     J, h = random_sparse_mesh(n, 0.01, seed=0)
@@ -54,9 +54,9 @@ def test_smoke_pickled_bytes_reduced_10x_at_8192():
 def test_smoke_transport_equivalence_at_scale():
     """Transport never changes bits, checked at a non-toy size."""
     from repro.core.dynamics import CircuitSimulator, IntegrationConfig
+    from repro.core.model import random_sparse_mesh
     from repro.core.operators import CouplingOperator
     from repro.parallel import run_batch_sharded, shm_residue
-    from repro.perf import random_sparse_mesh
 
     n = 2048
     J, h = random_sparse_mesh(n, 0.01, seed=2)
@@ -88,8 +88,9 @@ def test_serial_100k_nodes_end_to_end():
     """
     from repro import obs
     from repro.core.dynamics import CircuitSimulator, IntegrationConfig
+    from repro.core.model import random_sparse_mesh
     from repro.core.operators import CouplingOperator
-    from repro.perf import _peak_rss_mb, random_sparse_mesh
+    from repro.perf import _peak_rss_mb
 
     n = 100_000
     J, h = random_sparse_mesh(n, 0.001, seed=0)

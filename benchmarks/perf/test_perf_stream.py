@@ -2,8 +2,8 @@
 
 These execute only under ``pytest benchmarks/perf --run-perf`` (the CI
 perf job) or with ``REPRO_RUN_PERF=1``.  The authoritative entry point
-is ``repro bench``, which includes the same rows via
-:mod:`repro.stream.bench`.
+is ``repro bench``, whose core suite in :mod:`repro.perf` includes the
+same rows.
 
 The acceptance gate: absorbing a single-edge delta into a cached
 reduced-system factorization via the Sherman-Morrison-Woodbury
@@ -13,13 +13,17 @@ n=4096 — the headline claim recorded in ``BENCH_core.json``.
 
 import pytest
 
-from repro.stream.bench import bench_stream_suite, bench_stream_update
+from repro.perf import bench_stream_update, run_suite
 
 pytestmark = pytest.mark.perf
 
 
 def test_stream_smoke_suite_rows_are_well_formed():
-    rows = bench_stream_suite(smoke=True, repeats=1)
+    rows = [
+        row
+        for row in run_suite("core", smoke=True, repeats=1)["results"]
+        if row["name"] == "stream_incremental_update"
+    ]
     assert len(rows) == 2
     for row in rows:
         assert row["name"] == "stream_incremental_update"

@@ -12,9 +12,13 @@ Commands
 ``table {1,2,3,4}`` / ``figure {4,10,11,12,13}``
     Regenerate one paper artifact and print it.
 ``bench``
-    Time the annealing hot paths (sparse vs dense, batched vs looped)
-    and write ``BENCH_core.json`` (with per-repeat timing samples and a
-    metrics snapshot embedded).
+    Run one micro-benchmark suite of :mod:`repro.perf` and write
+    ``BENCH_<suite>.json`` (per-repeat timing samples, the machine, and a
+    metrics snapshot embedded): ``--suite core`` times the annealing hot
+    paths (sparse vs dense, batched vs looped, incremental vs refactored,
+    early-exit vs fixed), ``--suite nn`` the GNN baseline fast path, and
+    ``--suite serve`` the serving SLOs (throughput-vs-batch-window curve,
+    batched-vs-serial burst, overload shedding).
 ``faults sweep``
     Sweep co-annealing accuracy against a uniform device-fault rate
     (stuck nodes, open couplers, conductance drift, missed syncs) and
@@ -37,10 +41,6 @@ Commands
     Start the dynamic-batching inference server on a seeded synthetic
     model, drive a bursty open-loop workload through it, and print the
     SLO summary (p50/p99/p99.9, throughput, shed counts).
-``serve bench``
-    Run the serving SLO benchmark suite (throughput-vs-batch-window
-    curve, batched-vs-serial burst, overload shedding) and write
-    ``BENCH_serve.json``.
 
 Every command accepts the observability options ``--trace PATH`` (record
 a JSONL trace of spans/events plus a final metrics snapshot),
@@ -49,10 +49,10 @@ PATH`` (continuous sampling profiler, collapsed-stack output; see
 ``--profile-interval``/``--profile-timer``), and ``-v``/``-q`` (console
 log verbosity through the stdlib ``repro.*`` loggers).
 
-``bench`` also accepts ``--workers N``: the worker count of its
-serial-vs-parallel rows, which run the same shards of a batched circuit
-run (:func:`repro.parallel.run_batch_sharded`) on 1 and N processes and
-must agree bit for bit.
+``bench`` also accepts ``--workers N``: the worker count of the core
+suite's serial-vs-parallel rows, which run the same shards of a batched
+circuit run (:func:`repro.parallel.run_batch_sharded`) on 1 and N
+processes and must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -215,14 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the hot paths, write BENCH_core.json / BENCH_nn.json",
+        help="run a micro-benchmark suite, write BENCH_<suite>.json",
         parents=[common],
     )
     bench.add_argument(
         "--suite",
         default="core",
-        choices=("core", "nn"),
-        help="core = annealing hot paths, nn = GNN baseline fast path",
+        choices=("core", "nn", "serve"),
+        help="core = annealing hot paths, nn = GNN baseline fast path, "
+        "serve = serving SLOs",
     )
     bench.add_argument(
         "--out",
@@ -234,7 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tiny problem sizes (CI smoke run, finishes in seconds)",
     )
-    bench.add_argument("--batch", type=_positive_int, default=64)
+    bench.add_argument(
+        "--batch",
+        type=_positive_int,
+        default=64,
+        help="batch size of the batched core rows and the nn training "
+        "mini-batch",
+    )
     bench.add_argument("--repeats", type=_positive_int, default=3)
     bench.add_argument(
         "--workers",
@@ -368,24 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the run summary as JSON to PATH",
     )
-
-    serve_bench = serve_sub.add_parser(
-        "bench",
-        help="run the serving SLO suite, write BENCH_serve.json",
-        parents=[common],
-    )
-    serve_bench.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default: BENCH_serve.json)",
-    )
-    serve_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload (CI smoke run, finishes in seconds)",
-    )
-    serve_bench.add_argument("--repeats", type=_positive_int, default=3)
-    serve_bench.add_argument("--seed", type=int, default=0)
 
     stream_cmd = sub.add_parser(
         "stream", help="streaming graph deltas with incremental updates"
@@ -754,19 +743,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import format_bench, run_core_benchmarks, write_bench_json
+    from .perf import format_bench, run_suite, write_bench_json
 
-    if args.suite == "nn":
-        from .perf_nn import run_nn_benchmarks
-
-        payload = run_nn_benchmarks(
-            smoke=args.smoke, batch=args.batch, repeats=args.repeats
-        )
-    else:
-        payload = run_core_benchmarks(
-            smoke=args.smoke, batch=args.batch, repeats=args.repeats,
-            workers=args.workers,
-        )
+    payload = run_suite(
+        args.suite, smoke=args.smoke, batch=args.batch,
+        repeats=args.repeats, workers=args.workers,
+    )
     print(format_bench(payload))
     out = args.out if args.out is not None else f"BENCH_{args.suite}.json"
     path = write_bench_json(payload, out)
@@ -812,32 +794,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .perf import write_bench_json
+    from .core import NaturalAnnealingEngine
+    from .perf import _serve_model
     from .serve import (
         InferenceServer,
         ServeConfig,
         closed_loop,
-        format_serve_bench,
         open_loop,
-        run_serve_benchmarks,
         summarize_latencies,
         synthetic_workload,
     )
 
-    if args.serve_command == "bench":
-        payload = run_serve_benchmarks(
-            smoke=args.smoke, repeats=args.repeats, seed=args.seed
-        )
-        print(format_serve_bench(payload))
-        out = args.out if args.out is not None else "BENCH_serve.json"
-        path = write_bench_json(payload, out)
-        print(f"wrote {path}")
-        return 0
-
     # serve run: a seeded synthetic model under one workload replay.
-    from .core import NaturalAnnealingEngine
-    from .serve.bench import _serve_model
-
     model = _serve_model(args.n, args.density, args.seed)
     engine = NaturalAnnealingEngine(model=model, backend="sparse")
     config = ServeConfig(

@@ -36,7 +36,7 @@ from .inference import (
     model_fingerprint,
 )
 from .metrics import mae, rmse
-from .model import DSGLModel
+from .model import DSGLModel, random_sparse_mesh, random_sparse_system
 from .operators import CouplingOperator, ReducedSystem, select_backend
 from .stability import (
     StationaryPointReport,
@@ -73,6 +73,8 @@ __all__ = [
     "DEFAULT_CACHE_CAPACITY",
     "NaturalAnnealingEngine",
     "model_fingerprint",
+    "random_sparse_mesh",
+    "random_sparse_system",
     "RealValuedHamiltonian",
     "ReducedSystem",
     "Schedule",

@@ -5,6 +5,11 @@ A :class:`DSGLModel` owns the coupling matrix ``J`` and self-reaction vector
 data it was trained on.  It is the object produced by
 :mod:`repro.core.training`, consumed by :mod:`repro.core.inference`, and
 decomposed by :mod:`repro.decompose` into a sparse, PE-mapped system.
+
+The module also draws the seeded random convex systems that the
+benchmarks, the tuner and the stream replay run on
+(:func:`random_sparse_system`, and :func:`random_sparse_mesh` at 100k-node
+scale).
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hamiltonian import RealValuedHamiltonian, symmetrize_coupling
 from .operators import CouplingOperator
 from .stability import convexity_margin, enforce_convexity
 
-__all__ = ["DSGLModel"]
+__all__ = ["DSGLModel", "random_sparse_mesh", "random_sparse_system"]
 
 
 @dataclass
@@ -157,3 +163,78 @@ class DSGLModel:
             scale=scale if scale.size else None,
             metadata=metadata,
         )
+
+
+def random_sparse_system(
+    n: int, density: float, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """A random symmetric coupling matrix at a target off-diagonal density.
+
+    Couplings are drawn for a uniform random subset of node pairs;
+    ``h`` is set diagonally dominant (strictly negative, exceeding each
+    row's absolute coupling sum) so the system is convex and every
+    execution path converges to the same unique fixed point.
+
+    Returns:
+        ``(J, h)`` with ``J`` dense ``(n, n)`` and ``h`` of shape ``(n,)``.
+    """
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    num_pairs = iu.size
+    keep = max(1, int(round(density * num_pairs)))
+    selected = rng.choice(num_pairs, size=keep, replace=False)
+    weights = rng.normal(size=keep) * 0.5
+    J = np.zeros((n, n))
+    J[iu[selected], ju[selected]] = weights
+    J[ju[selected], iu[selected]] = weights
+    h = -(np.abs(J).sum(axis=1) + 1.0)
+    return J, h
+
+
+def random_sparse_mesh(
+    n: int, density: float, seed: int = 0
+) -> tuple["object", np.ndarray]:
+    """A random symmetric CSR coupling matrix at 100k-node scale.
+
+    :func:`random_sparse_system` materializes every node pair via
+    ``np.triu_indices`` — fine to a few thousand nodes, hopeless at 100k
+    (5e9 pairs).  This generator samples ``density * n * (n-1) / 2``
+    upper-triangle pairs directly and never builds a dense matrix, so a
+    100k-node / 0.1%-density system costs ~10M entries, not 80 GB.
+
+    Returns:
+        ``(J, h)`` with ``J`` a ``scipy.sparse.csr_matrix`` of shape
+        ``(n, n)`` and ``h`` of shape ``(n,)``.
+    """
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    rng = np.random.default_rng(seed)
+    num_pairs = n * (n - 1) // 2
+    keep = max(1, min(num_pairs, int(round(density * num_pairs))))
+    # Sample pair indices with replacement, then dedupe: at low density
+    # collisions are rare and the realized density stays within a hair of
+    # the target, without a 5e9-element permutation.
+    flat = np.unique(rng.integers(0, num_pairs, size=int(keep * 1.05) + 8))
+    # Keep a random subset of the distinct pairs: ``np.unique`` sorts, so
+    # its head would drop the pairs of the last rows.
+    flat = rng.choice(flat, size=min(keep, flat.size), replace=False)
+    # Invert the row-major upper-triangle linearization k = i*n - i(i+3)/2
+    # + j - 1 via the quadratic formula (float64 is exact for n <= ~1e6).
+    i = (
+        n - 2 - np.floor(
+            (np.sqrt(4.0 * n * (n - 1) - 8.0 * flat - 7.0) - 1.0) / 2.0
+        )
+    ).astype(np.int64)
+    j = (flat + i * (i + 3) // 2 - i * n + 1).astype(np.int64)
+    weights = rng.normal(size=flat.size) * 0.5
+    J = sp.coo_matrix(
+        (
+            np.concatenate([weights, weights]),
+            (np.concatenate([i, j]), np.concatenate([j, i])),
+        ),
+        shape=(n, n),
+    ).tocsr()
+    h = -(np.abs(J).sum(axis=1).A1 + 1.0)
+    return J, h

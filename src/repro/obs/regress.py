@@ -1,10 +1,9 @@
 """Benchmark regression detection over ``BENCH_*.json`` snapshots.
 
 Backs ``repro obs diff BASELINE CANDIDATE``: the bench harness
-(:mod:`repro.perf` / :mod:`repro.perf_nn`) records *every* per-repeat
-timing sample (``samples_ms``) precisely so that later comparisons can
-distinguish real regressions from machine noise.  This module does that
-comparison:
+(:mod:`repro.perf`) records *every* per-repeat timing sample
+(``samples_ms``) precisely so that later comparisons can distinguish
+real regressions from machine noise.  This module does that comparison:
 
 * Result rows are matched across files by :func:`result_key` — the
   benchmark name plus its identifying parameters (n, density, batch,

@@ -1,131 +1,136 @@
-"""Performance harness for the annealing hot paths (``repro bench``).
+"""The micro-benchmark harness (``repro bench --suite core|nn|serve``).
 
-Times the optimized execution paths introduced by the operator/batching
-engine against their pre-existing baselines and writes ``BENCH_core.json``
-for the performance trajectory:
+One registry, :data:`SUITES`, maps each suite to its cases at smoke and
+full size; :func:`run_suite` runs them and wraps the rows in the payload
+envelope written to ``BENCH_<suite>.json``; :func:`format_bench` renders
+every row kind.
 
-* **drift** — dense vs sparse drift evaluation (the ``J @ sigma`` inside
-  the circuit integrator) at several graph sizes and densities,
-* **circuit batch** — looped :meth:`CircuitSimulator.run` vs one
-  vectorized :meth:`CircuitSimulator.run_batch` over the same samples,
-* **equilibrium** — per-sample fixed-point solves (the pre-operator
-  accuracy-sweep path) vs the cached/batched LU path of
-  :meth:`NaturalAnnealingEngine.infer_equilibrium_batch`.
+* **core** (``BENCH_core.json``) — the annealing hot paths: dense vs
+  sparse drift, looped vs batched circuit runs, per-sample vs cached and
+  batched equilibrium solves, serial vs process-pool shards and their
+  scaling curve, full LU refactorization vs incremental
+  Sherman-Morrison-Woodbury updates for graph deltas, and fixed vs
+  early-exit or adaptive integration at equal accuracy.
+* **nn** (``BENCH_nn.json``) — the GNN baseline fast path behind the
+  paper's latency ratios: float64 dense vs float32 with cached graph
+  support in training and single-window inference, and dense vs sparse
+  graph convolution.
+* **serve** (``BENCH_serve.json``) — the inference server's SLO surface:
+  seeded bursty open- and closed-loop replays over batch windows,
+  batched vs serial bursts, and overload shedding.
 
-Each comparison also records the maximum deviation between baseline and
-optimized outputs, so the speedups are tied to a correctness bound.
-
-Timings keep the *full* per-repeat sample list (``baseline_stats`` /
-``optimized_stats`` with best/median/p90), so run-to-run dispersion is
-visible in ``BENCH_core.json`` rather than being collapsed to best-of.
-The payload also embeds a metrics snapshot — LU-cache hit counters, solve
-and factorization timings — collected through :mod:`repro.obs` while the
-benchmarks run.
+Every comparison row keeps the per-repeat samples of both arms
+(``baseline_stats`` / ``optimized_stats`` with best/median/p90/p99), so
+``repro obs diff`` derives its noise band per row and run-to-run
+dispersion stays visible rather than collapsed to best-of.  Each row
+also records how far the optimized output is from the baseline
+(``max_abs_diff``, ``bitwise_identical`` or ``equal_accuracy``), so a
+speedup is tied to a correctness bound.  The float32 nn rows are not
+bit-comparable to their float64 baselines; their ``max_abs_diff`` is the
+observed accuracy gap.  The envelope records the machine once per file,
+and a metrics snapshot collected through :mod:`repro.obs` while the rows
+ran.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import os
 import platform
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import obs
 from .core.dynamics import CircuitSimulator, IntegrationConfig
 from .core.inference import NaturalAnnealingEngine
-from .core.model import DSGLModel
+from .core.model import DSGLModel, random_sparse_system
 from .core.operators import CouplingOperator
-from .stream.bench import bench_stream_suite
+from .datasets import load_dataset
+from .datasets.base import SpatioTemporalDataset
+from .gnn import GNNTrainConfig, GNNTrainer, GraphWaveNet, default_adjacency
+from .gnn.trainer import build_windows
+from .nn import GraphConv, GraphSupport, Tensor, no_grad
+from .nn.tensor import grad_write_stats, reset_grad_write_stats
+from .parallel import run_batch_sharded, shard_task_bytes, shm_available
+from .serve.server import InferenceServer, ServeConfig
+from .serve.traffic import (
+    Workload,
+    closed_loop,
+    open_loop,
+    summarize_latencies,
+    synthetic_workload,
+)
+from .stream.deltas import random_delta
 
 __all__ = [
-    "random_sparse_system",
-    "random_sparse_mesh",
+    "ACCURACY_TOL",
+    "SERVE_FULL_WINDOWS",
+    "SERVE_SMOKE_WINDOWS",
+    "SUITES",
+    "TUNE_ARMS",
+    "bench_circuit_batch",
+    "bench_drift",
+    "bench_equilibrium",
+    "bench_graphconv",
+    "bench_inference",
+    "bench_parallel_batch",
     "bench_parallel_scaling",
-    "run_core_benchmarks",
+    "bench_serve_burst",
+    "bench_serve_overload",
+    "bench_serve_traffic",
+    "bench_stream_update",
+    "bench_train_epoch",
+    "bench_tune",
     "format_bench",
+    "random_adjacency",
+    "run_suite",
     "write_bench_json",
 ]
 
+#: Both arms of every tune row must land within this MAE of the exact
+#: fixed point for the row's speedup to count as equal-accuracy.
+ACCURACY_TOL = 1e-6
 
-def random_sparse_system(
-    n: int, density: float, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """A random symmetric coupling matrix at a target off-diagonal density.
+#: The tune rows: name -> (baseline label, baseline integration settings,
+#: optimized label, optimized integration settings).
+TUNE_ARMS = {
+    "tune_early_exit_vs_fixed": (
+        "fixed-step integration of the full worst-case budget",
+        {"dt": 0.1},
+        "per-member freeze-out with all-settled early exit",
+        {"dt": 0.1, "early_exit": True, "settle_tolerance": 1e-9},
+    ),
+    "tune_adaptive_vs_conservative": (
+        "conservative hand-picked fixed dt (10x safety margin)",
+        {"dt": 0.01},
+        "PI-controlled variable steps with early-exit settling",
+        {
+            "dt": 0.01,
+            "adaptive": True,
+            "rtol": 1e-2,
+            "atol": 1e-8,
+            "early_exit": True,
+            "settle_tolerance": 1e-9,
+        },
+    ),
+}
 
-    Couplings are drawn for a uniform random subset of node pairs;
-    ``h`` is set diagonally dominant (strictly negative, exceeding each
-    row's absolute coupling sum) so the system is convex and every
-    execution path converges to the same unique fixed point.
+#: Batch windows (ms) swept by the open-loop SLO curve.
+SERVE_SMOKE_WINDOWS = (0.0, 1.0, 4.0)
+SERVE_FULL_WINDOWS = (0.0, 2.0, 8.0)
 
-    Returns:
-        ``(J, h)`` with ``J`` dense ``(n, n)`` and ``h`` of shape ``(n,)``.
-    """
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    num_pairs = iu.size
-    keep = max(1, int(round(density * num_pairs)))
-    selected = rng.choice(num_pairs, size=keep, replace=False)
-    weights = rng.normal(size=keep) * 0.5
-    J = np.zeros((n, n))
-    J[iu[selected], ju[selected]] = weights
-    J[ju[selected], iu[selected]] = weights
-    h = -(np.abs(J).sum(axis=1) + 1.0)
-    return J, h
-
-
-def random_sparse_mesh(
-    n: int, density: float, seed: int = 0
-) -> tuple["object", np.ndarray]:
-    """A random symmetric CSR coupling matrix at 100k-node scale.
-
-    :func:`random_sparse_system` materializes every node pair via
-    ``np.triu_indices`` — fine to a few thousand nodes, hopeless at 100k
-    (5e9 pairs).  This generator samples ``density * n * (n-1) / 2``
-    upper-triangle pairs directly and never builds a dense matrix, so a
-    100k-node / 0.1%-density system costs ~10M entries, not 80 GB.
-
-    Returns:
-        ``(J, h)`` with ``J`` a ``scipy.sparse.csr_matrix`` of shape
-        ``(n, n)`` and ``h`` of shape ``(n,)``.
-    """
-    import scipy.sparse as sp
-
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    rng = np.random.default_rng(seed)
-    num_pairs = n * (n - 1) // 2
-    keep = max(1, min(num_pairs, int(round(density * num_pairs))))
-    # Sample pair indices with replacement, then dedupe: at low density
-    # collisions are rare and the realized density stays within a hair of
-    # the target, without a 5e9-element permutation.
-    flat = np.unique(rng.integers(0, num_pairs, size=int(keep * 1.05) + 8))
-    # Keep a random subset of the distinct pairs: ``np.unique`` sorts, so
-    # its head would drop the pairs of the last rows.
-    flat = rng.choice(flat, size=min(keep, flat.size), replace=False)
-    # Invert the row-major upper-triangle linearization k = i*n - i(i+3)/2
-    # + j - 1 via the quadratic formula (float64 is exact for n <= ~1e6).
-    i = (
-        n - 2 - np.floor(
-            (np.sqrt(4.0 * n * (n - 1) - 8.0 * flat - 7.0) - 1.0) / 2.0
-        )
-    ).astype(np.int64)
-    j = (flat + i * (i + 3) // 2 - i * n + 1).astype(np.int64)
-    weights = rng.normal(size=flat.size) * 0.5
-    J = sp.coo_matrix(
-        (
-            np.concatenate([weights, weights]),
-            (np.concatenate([i, j]), np.concatenate([j, i])),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    h = -(np.abs(J).sum(axis=1).A1 + 1.0)
-    return J, h
+#: Thread-count variables that change BLAS timings, recorded per payload.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# ----------------------------------------------------------------------
+# Timing
+# ----------------------------------------------------------------------
 def _peak_rss_mb() -> float:
     """Peak resident-set size of this process in MiB (Linux ru_maxrss KiB)."""
     import resource
@@ -172,10 +177,10 @@ def _best_of_ms(fn, repeats: int) -> float:
     return min(_time_samples_ms(fn, repeats))
 
 
-def _timed_comparison(baseline_fn, optimized_fn, repeats: int) -> dict:
-    """Time both sides, keeping every sample; best-of stays the headline."""
-    baseline = _timing_stats(_time_samples_ms(baseline_fn, repeats))
-    optimized = _timing_stats(_time_samples_ms(optimized_fn, repeats))
+def _comparison(baseline_ms: list[float], optimized_ms: list[float]) -> dict:
+    """Both arms' sample summaries; best-of stays the headline."""
+    baseline = _timing_stats(baseline_ms)
+    optimized = _timing_stats(optimized_ms)
     return {
         "baseline_ms": baseline["best_ms"],
         "optimized_ms": optimized["best_ms"],
@@ -185,6 +190,17 @@ def _timed_comparison(baseline_fn, optimized_fn, repeats: int) -> dict:
     }
 
 
+def _timed_comparison(baseline_fn, optimized_fn, repeats: int) -> dict:
+    """Time both sides, keeping every sample; best-of stays the headline."""
+    return _comparison(
+        _time_samples_ms(baseline_fn, repeats),
+        _time_samples_ms(optimized_fn, repeats),
+    )
+
+
+# ----------------------------------------------------------------------
+# core: the annealing hot paths
+# ----------------------------------------------------------------------
 def bench_drift(
     n: int, density: float, steps: int, repeats: int, seed: int = 0
 ) -> dict:
@@ -328,8 +344,6 @@ def bench_parallel_batch(
     ~1x result on a single-core runner reads as a hardware fact, not a
     regression.
     """
-    import os
-
     J, h = random_sparse_system(n, density, seed=seed)
     operator = CouplingOperator(J, h, backend="auto")
     rng = np.random.default_rng(seed + 1)
@@ -352,8 +366,6 @@ def bench_parallel_batch(
 
     serial, parallel = run(1), run(workers)
     deviation = float(np.max(np.abs(serial - parallel)))
-    from .parallel import shard_task_bytes
-
     task_bytes = shard_task_bytes(
         simulator,
         operator.drift,
@@ -403,10 +415,6 @@ def bench_parallel_scaling(
     the legacy and shared-memory transports at ``workers=1``, so the
     curve doubles as a transport-equivalence sweep.
     """
-    import os
-
-    from .parallel import run_batch_sharded, shard_task_bytes, shm_available
-
     rows: list[dict] = []
     for n in sizes:
         J, h = random_sparse_system(n, density, seed=seed)
@@ -478,34 +486,835 @@ def bench_parallel_scaling(
     }
 
 
-def run_core_benchmarks(
+def _reset_updates(reduced) -> None:
+    # Bench-only: rewind the SMW state so every repeat times the same
+    # rank-k update against the same base factorization.
+    reduced._U = reduced._V = reduced._Z = None
+    reduced._S_factor = None
+    reduced.update_rank = 0
+    reduced.needs_refactor = False
+    reduced.last_residual = 0.0
+
+
+def bench_stream_update(
+    n: int,
+    density: float,
+    delta_edges: int,
+    repeats: int,
+    seed: int = 0,
+) -> dict:
+    """Incremental SMW update vs full LU refactorization for one delta.
+
+    Builds a seeded sparse system, factors its reduced system once, and
+    times absorbing a ``delta_edges``-edge reweight delta either way: the
+    baseline re-slices the coupling matrix and refactors the reduced LU
+    from scratch, the optimized arm folds the delta into the existing
+    factorization as low-rank Sherman-Morrison-Woodbury columns
+    (:meth:`~repro.core.operators.ReducedSystem.apply_increments`).  Both
+    arms end in a batch solve, so the comparison is "delta → next
+    prediction" latency, not just factorization time; ``max_abs_diff``
+    is bounded by the recorded residual tolerance.
+    """
+    J, h = random_sparse_system(n, density, seed=seed)
+    model = DSGLModel(J=J, h=h)
+    operator = CouplingOperator(model.J, model.h, backend="sparse")
+    rng = np.random.default_rng(seed + 1)
+    observed = np.sort(rng.choice(n, size=max(1, n // 4), replace=False))
+    free = np.setdiff1d(np.arange(n), observed)
+    delta = random_delta(
+        operator, rng, edges=delta_edges, p_add=0.0, p_remove=0.0
+    )
+    info: dict = {}
+    updated = operator.apply_delta(delta, info=info)
+    clamp = rng.normal(size=(8, observed.size))
+
+    reduced = operator.reduced_system(
+        free, observed, max_update_rank=2 * delta_edges + 2
+    )
+    baseline_out: dict = {}
+    optimized_out: dict = {}
+
+    def refactor_and_solve():
+        rebuilt = updated.reduced_system(free, observed)
+        baseline_out["solution"] = rebuilt.solve(clamp)
+
+    def increment_and_solve():
+        _reset_updates(reduced)
+        applied = reduced.apply_increments(
+            info["edge_increments"], info["h_increments"]
+        )
+        assert applied, "bench delta must fit the SMW rank budget"
+        optimized_out["solution"] = reduced.solve(clamp)
+
+    result = _timed_comparison(refactor_and_solve, increment_and_solve, repeats)
+    result.update(
+        name="stream_incremental_update",
+        n=n,
+        density=density,
+        delta_edges=delta_edges,
+        update_rank=int(reduced.update_rank),
+        residual=float(reduced.last_residual),
+        residual_tol=float(reduced.residual_tol),
+        max_abs_diff=float(
+            np.max(
+                np.abs(
+                    baseline_out["solution"] - optimized_out["solution"]
+                )
+            )
+        ),
+    )
+    return result
+
+
+def bench_tune(
+    name: str,
+    n: int,
+    density: float,
+    batch: int,
+    duration: float,
+    repeats: int,
+    seed: int = 0,
+) -> dict:
+    """One equal-accuracy-at-lower-latency row of :data:`TUNE_ARMS`.
+
+    ``tune_early_exit_vs_fixed`` integrates both arms at the same ``dt``;
+    the optimized arm freezes members whose state stops moving and exits
+    once every member has settled, so the speedup is exactly the unused
+    tail of the worst-case budget.  ``tune_adaptive_vs_conservative``
+    starts both arms at a safely small ``dt``; the optimized arm lets the
+    PI controller find the largest locally accurate step and settles
+    early.  Both arms must land within :data:`ACCURACY_TOL` of the exact
+    fixed point (``equal_accuracy``).  The operator is prebuilt and the
+    timed region is the integration loop itself.
+    """
+    baseline_label, baseline_settings, optimized_label, optimized_settings = (
+        TUNE_ARMS[name]
+    )
+    J, h = random_sparse_system(n, density, seed=seed)
+    operator = CouplingOperator(J, h, backend="auto")
+    rng = np.random.default_rng(seed + 1)
+    observed = np.arange(n // 2)
+    free = np.arange(n // 2, n)
+    clamp = rng.uniform(-1.0, 1.0, size=(batch, observed.size))
+    sigma0 = rng.uniform(-1.0, 1.0, size=(batch, n))
+    sigma0[:, observed] = clamp
+    reference = NaturalAnnealingEngine(
+        DSGLModel(J=J, h=h), seed=seed
+    ).infer_equilibrium_batch(observed, clamp)
+
+    def runner(settings: dict):
+        config = IntegrationConfig(
+            record_every=1_000_000, node_noise_std=0.0, **settings
+        )
+
+        def run():
+            return CircuitSimulator(config=config).run_batch(
+                operator.drift,
+                sigma0,
+                duration,
+                clamp_index=observed,
+                clamp_value=clamp,
+            )
+
+        return run
+
+    baseline = runner(baseline_settings)
+    optimized = runner(optimized_settings)
+    baseline_mae = float(
+        np.mean(np.abs(baseline().final_states[:, free] - reference))
+    )
+    tuned_trajectory = optimized()
+    optimized_mae = float(
+        np.mean(np.abs(tuned_trajectory.final_states[:, free] - reference))
+    )
+    return {
+        "name": name,
+        "n": n,
+        "density": density,
+        "batch": batch,
+        "duration_ns": duration,
+        "backend": operator.backend,
+        "baseline": baseline_label,
+        "optimized": optimized_label,
+        **_timed_comparison(baseline, optimized, repeats),
+        "accuracy_tol": ACCURACY_TOL,
+        "baseline_mae": baseline_mae,
+        "optimized_mae": optimized_mae,
+        "equal_accuracy": bool(
+            baseline_mae <= ACCURACY_TOL and optimized_mae <= ACCURACY_TOL
+        ),
+        "early_exit_t_ns": float(tuned_trajectory.times[-1]),
+    }
+
+
+# ----------------------------------------------------------------------
+# nn: the GNN baseline fast path
+# ----------------------------------------------------------------------
+def random_adjacency(n: int, density: float, seed: int = 0) -> np.ndarray:
+    """A random row-normalized directed adjacency at a target density.
+
+    The graph-conv benchmark needs what real sensor graphs look like
+    after :func:`~repro.datasets.graphs.normalized_adjacency`: asymmetric,
+    non-negative, rows summing to one — exactly what
+    ``CouplingOperator(symmetric=False)`` exists for.
+    """
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    rng = np.random.default_rng(seed)
+    weights = rng.random((n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(weights, 1.0)  # self-loops keep every row non-empty
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def bench_graphconv(
+    n: int,
+    density: float,
+    channels: int = 16,
+    batch: int = 4,
+    order: int = 2,
+    repeats: int = 3,
+    seed: int = 0,
+) -> dict:
+    """Dense autograd matmuls vs cached sparse propagation, fwd + bwd.
+
+    Both sides run at float64 on the *same* adjacency values, so
+    ``max_abs_diff`` is a rounding-level correctness bound, and the
+    speedup isolates the storage/backend choice.
+    """
+    rng = np.random.default_rng(seed)
+    adjacency = random_adjacency(n, density, seed=seed)
+    conv = GraphConv(channels, channels, order=order, rng=np.random.default_rng(1))
+    x_data = rng.standard_normal((batch, n, channels))
+    support = GraphSupport(adjacency, backend="sparse")
+    outputs: dict[str, np.ndarray] = {}
+
+    def run(adjacency_like, key: str) -> None:
+        conv.zero_grad()
+        x = Tensor(x_data, requires_grad=True)
+        out = conv(x, adjacency_like)
+        out.sum().backward()
+        outputs[key] = out.numpy()
+
+    comparison = _timed_comparison(
+        lambda: run(adjacency, "baseline"),
+        lambda: run(support, "optimized"),
+        repeats,
+    )
+    max_abs_diff = float(
+        np.max(np.abs(outputs["baseline"] - outputs["optimized"]))
+    )
+    return {
+        "name": f"nn.graphconv[sparse,order={order}]",
+        "n": n,
+        "density": density,
+        "channels": channels,
+        "batch": batch,
+        "backend": support.backend,
+        "max_abs_diff": max_abs_diff,
+        **comparison,
+    }
+
+
+def _epoch_runner(
+    dataset: SpatioTemporalDataset,
+    adjacency: np.ndarray,
+    hidden: int,
+    epochs: int,
+    batch_size: int,
+    dtype: str | None,
+    graph_backend: str | None,
+    sink: dict,
+    key: str,
+):
+    """A closure training a fresh GraphWaveNet for ``epochs`` epochs.
+
+    Fresh model + trainer per call keeps repeats independent and
+    deterministic; loss and gradient-allocation stats of the latest run
+    land in ``sink[key]``.
+    """
+    train, _val, _test = dataset.split()
+
+    def run() -> None:
+        model = GraphWaveNet(
+            dataset.num_nodes, adjacency, hidden=hidden, seed=0,
+            graph_backend=graph_backend,
+        )
+        trainer = GNNTrainer(
+            model,
+            GNNTrainConfig(
+                window=6, epochs=epochs, batch_size=batch_size, seed=0,
+                dtype=dtype,
+            ),
+        )
+        reset_grad_write_stats()
+        trainer.fit(train, None)
+        writes, copies = grad_write_stats()
+        sink[key] = {
+            "train_loss": trainer.history[-1][0],
+            "grad_writes": writes,
+            "grad_copies": copies,
+        }
+
+    return run
+
+
+def bench_train_epoch(
+    dataset: SpatioTemporalDataset,
+    hidden: int = 32,
+    epochs: int = 1,
+    batch_size: int = 32,
+    repeats: int = 3,
+    graph_backend: str | None = "auto",
+    name: str = "fastpath",
+) -> dict:
+    """Training epochs: float64 dense (historical) vs float32 fast path.
+
+    ``graph_backend=None`` benchmarks the dtype change alone.  The per-run
+    gradient-buffer write/copy counters quantify the allocation-lean
+    backward (copies avoided = fraction of first-writes that took
+    ownership of a temporary instead of allocating).
+    """
+    adjacency = default_adjacency(dataset)
+    sink: dict[str, dict] = {}
+    baseline = _epoch_runner(
+        dataset, adjacency, hidden, epochs, batch_size,
+        dtype=None, graph_backend=None, sink=sink, key="baseline",
+    )
+    optimized = _epoch_runner(
+        dataset, adjacency, hidden, epochs, batch_size,
+        dtype="float32", graph_backend=graph_backend, sink=sink, key="optimized",
+    )
+    comparison = _timed_comparison(baseline, optimized, repeats)
+    loss64 = sink["baseline"]["train_loss"]
+    loss32 = sink["optimized"]["train_loss"]
+    return {
+        "name": f"nn.train_epoch[GWN,{name}]",
+        "n": int(dataset.num_nodes),
+        "density": float(np.count_nonzero(adjacency)) / adjacency.size,
+        "hidden": hidden,
+        "epochs": epochs,
+        "batch_size": batch_size,
+        "graph_backend": graph_backend,
+        # Cross-dtype comparison: this is the float32 accuracy gap on the
+        # final epoch's train loss, not a rounding bound.
+        "max_abs_diff": abs(loss64 - loss32),
+        "train_loss_float64": loss64,
+        "train_loss_float32": loss32,
+        "grad_stats": {
+            "baseline": sink["baseline"],
+            "optimized": sink["optimized"],
+        },
+        **comparison,
+    }
+
+
+def bench_inference(
+    dataset: SpatioTemporalDataset,
+    hidden: int = 32,
+    repeats: int = 30,
+    graph_backend: str | None = "auto",
+) -> dict:
+    """Single-window inference latency (the Table III quantity), float64
+    dense vs float32 cached."""
+    adjacency = default_adjacency(dataset)
+    _train, _val, test = dataset.split()
+    window = 6
+    X64, _ = build_windows(test.series, window)
+    sample64 = np.ascontiguousarray(X64[:1])
+    sample32 = sample64.astype(np.float32)
+
+    model64 = GraphWaveNet(dataset.num_nodes, adjacency, hidden=hidden, seed=0)
+    model64.eval()
+    model32 = GraphWaveNet(
+        dataset.num_nodes, adjacency, hidden=hidden, seed=0,
+        graph_backend=graph_backend,
+    )
+    model32.astype(np.float32)
+    model32.eval()
+
+    with no_grad():
+        prediction64 = model64(Tensor(sample64)).numpy()
+        prediction32 = model32(Tensor(sample32)).numpy()
+
+        def baseline() -> None:
+            model64(Tensor(sample64))
+
+        def optimized() -> None:
+            model32(Tensor(sample32))
+
+        baseline()  # warm-up (adjacency caches, BLAS threads)
+        optimized()
+        comparison = _timed_comparison(baseline, optimized, repeats)
+    return {
+        "name": "nn.infer_window[GWN]",
+        "n": int(dataset.num_nodes),
+        "density": float(np.count_nonzero(adjacency)) / adjacency.size,
+        "hidden": hidden,
+        "window": window,
+        "graph_backend": graph_backend,
+        # Untrained same-seed weights: the float32 prediction gap.
+        "max_abs_diff": float(np.max(np.abs(prediction64 - prediction32))),
+        **comparison,
+    }
+
+
+# ----------------------------------------------------------------------
+# serve: the inference server's SLOs
+# ----------------------------------------------------------------------
+def _serve_model(n: int, density: float, seed: int) -> DSGLModel:
+    """A convex random model with normalization stats (serving-shaped)."""
+    J, h = random_sparse_system(n, density, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    return DSGLModel(
+        J=J,
+        h=h,
+        mean=rng.normal(size=n),
+        scale=np.abs(rng.normal(size=n)) + 0.5,
+    )
+
+
+def _engine(model: DSGLModel) -> NaturalAnnealingEngine:
+    # Sparse backend: the SuperLU reduced solve is column-independent,
+    # which is what makes coalesced batches bit-identical to serial.
+    return NaturalAnnealingEngine(model=model, backend="sparse")
+
+
+def _warm(engine: NaturalAnnealingEngine, workload: Workload) -> None:
+    for group in workload.groups:
+        engine.infer_equilibrium_batch(group, np.zeros((1, group.size)))
+
+
+def _replay(
+    engine: NaturalAnnealingEngine,
+    config: ServeConfig,
+    workload: Workload,
+    loop_mode: str,
+) -> dict:
+    """One traffic replay on a fresh server; adds ``makespan_ms``."""
+
+    async def main() -> dict:
+        async with InferenceServer(engine, config) as server:
+            started = time.perf_counter()
+            if loop_mode == "open":
+                summary = await open_loop(server, workload)
+            else:
+                summary = await closed_loop(server, workload)
+            summary["makespan_ms"] = (
+                time.perf_counter() - started
+            ) * 1000.0
+        return summary
+
+    return asyncio.run(main())
+
+
+def bench_serve_traffic(
+    model: DSGLModel,
+    workload: Workload,
+    config: ServeConfig,
+    loop_mode: str,
+    repeats: int,
+) -> dict:
+    """Replay one load point ``repeats`` times on a fresh engine.
+
+    Latency quantiles come from the last replay; ``optimized_stats``
+    holds the per-replay makespans (the whole replay, wall time), the
+    distribution the regression gate compares.
+    """
+    engine = _engine(model)
+    _warm(engine, workload)
+    makespans: list[float] = []
+    summary: dict = {}
+    for _ in range(repeats):
+        summary = _replay(engine, config, workload, loop_mode)
+        makespans.append(summary["makespan_ms"])
+    quantiles = summarize_latencies(summary["latencies_ms"])
+    return {
+        "name": f"serve_{loop_mode}_loop",
+        "n": model.n,
+        "mode": loop_mode,
+        "batch_window_ms": config.batch_window_ms,
+        "max_batch_size": config.max_batch_size,
+        "rate_rps": workload.rate_rps,
+        "requests": len(workload),
+        "completed": summary["completed"],
+        "statuses": summary["statuses"],
+        "shed": summary["statuses"].get("shed", 0),
+        "mean_batch_size": summary["mean_batch_size"],
+        "throughput_rps": summary["throughput_rps"],
+        "p50_ms": quantiles["p50_ms"],
+        "p99_ms": quantiles["p99_ms"],
+        "p999_ms": quantiles["p999_ms"],
+        "max_latency_ms": quantiles["max_ms"],
+        "optimized_stats": _timing_stats(makespans),
+    }
+
+
+def _burst_once(
+    engine: NaturalAnnealingEngine,
+    config: ServeConfig,
+    observed_index: np.ndarray,
+    values: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Serve one simultaneous burst; returns (elapsed_ms, predictions)."""
+
+    async def main() -> tuple[float, np.ndarray]:
+        async with InferenceServer(engine, config) as server:
+            started = time.perf_counter()
+            futures = [
+                server.submit(observed_index, values[i])
+                for i in range(values.shape[0])
+            ]
+            results = await asyncio.gather(*futures)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+        bad = [r.status for r in results if not r.ok]
+        if bad:
+            raise RuntimeError(f"burst requests not served: {bad}")
+        return elapsed_ms, np.stack([r.prediction for r in results])
+
+    return asyncio.run(main())
+
+
+def bench_serve_burst(
+    n: int,
+    density: float,
+    burst: int,
+    repeats: int,
+    seed: int = 0,
+) -> dict:
+    """Dynamic batching vs serial (``max_batch_size=1``) on one burst.
+
+    Predictions must match bit for bit: the engine's sparse reduced solve
+    is column-independent, so coalescing cannot change results.
+    """
+    model = _serve_model(n, density, seed)
+    rng = np.random.default_rng(seed + 2)
+    observed_index = np.sort(
+        rng.choice(n, size=max(1, n // 2), replace=False)
+    )
+    values = rng.normal(size=(burst, observed_index.size))
+    serial_cfg = ServeConfig(
+        batch_window_ms=0.0,
+        max_batch_size=1,
+        max_queue=max(256, burst),
+    )
+    batched_cfg = ServeConfig(
+        batch_window_ms=0.5,
+        max_batch_size=burst,
+        max_queue=max(256, burst),
+    )
+    serial_engine = _engine(model)
+    batched_engine = _engine(model)
+    # Warm both caches so the comparison times steady-state serving.
+    serial_engine.infer_equilibrium_batch(
+        observed_index, np.zeros((1, observed_index.size))
+    )
+    batched_engine.infer_equilibrium_batch(
+        observed_index, np.zeros((1, observed_index.size))
+    )
+
+    serial_ms: list[float] = []
+    batched_ms: list[float] = []
+    serial_preds = batched_preds = None
+    for _ in range(repeats):
+        elapsed, serial_preds = _burst_once(
+            serial_engine, serial_cfg, observed_index, values
+        )
+        serial_ms.append(elapsed)
+        elapsed, batched_preds = _burst_once(
+            batched_engine, batched_cfg, observed_index, values
+        )
+        batched_ms.append(elapsed)
+    comparison = _comparison(serial_ms, batched_ms)
+    return {
+        "name": "serve_batched_vs_serial",
+        "n": n,
+        "density": density,
+        "batch": burst,
+        "mode": "equilibrium",
+        **comparison,
+        "throughput_serial_rps": burst / (comparison["baseline_ms"] / 1000.0),
+        "throughput_batched_rps": burst
+        / (comparison["optimized_ms"] / 1000.0),
+        "max_abs_diff": float(np.max(np.abs(serial_preds - batched_preds))),
+        "bitwise_identical": bool(
+            np.array_equal(serial_preds, batched_preds)
+        ),
+    }
+
+
+def bench_serve_overload(
+    n: int, density: float, seed: int = 0
+) -> dict:
+    """Saturate a tiny admission queue; backpressure must shed."""
+    model = _serve_model(n, density, seed)
+    engine = _engine(model)
+    workload = synthetic_workload(
+        model,
+        num_requests=120,
+        rate_rps=50_000.0,
+        burstiness=1.0,
+        num_groups=1,
+        seed=seed + 3,
+    )
+    config = ServeConfig(
+        batch_window_ms=2.0, max_batch_size=8, max_queue=4
+    )
+    _warm(engine, workload)
+    summary = _replay(engine, config, workload, "open")
+    shed = summary["statuses"].get("shed", 0)
+    return {
+        "name": "serve_overload_shed",
+        "n": n,
+        "requests": len(workload),
+        "max_queue": config.max_queue,
+        "statuses": summary["statuses"],
+        "shed": shed,
+        "shed_fraction": shed / len(workload),
+        "completed": summary["completed"],
+        "throughput_rps": summary["throughput_rps"],
+    }
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+def _core_cases(
+    smoke: bool, batch: int, repeats: int, workers: int | None
+) -> list[partial]:
+    if smoke:
+        small, workers = min(batch, 8), workers or 2
+        return [
+            partial(bench_drift, n=96, density=0.05, steps=20, repeats=repeats),
+            partial(
+                bench_circuit_batch, n=64, density=0.2, batch=small,
+                duration=2.0, repeats=repeats,
+            ),
+            partial(
+                bench_equilibrium, n=96, density=0.1, batch=small,
+                repeats=repeats,
+            ),
+            partial(
+                bench_parallel_batch, n=96, density=0.1, batch=small,
+                duration=2.0, workers=workers, repeats=repeats,
+            ),
+            partial(
+                bench_parallel_scaling, sizes=(64, 128), shards_grid=(2,),
+                workers_grid=(1, workers), density=0.1, batch=small,
+                duration=1.0,
+            ),
+            *(
+                partial(
+                    bench_stream_update, n=256, density=0.05,
+                    delta_edges=edges, repeats=repeats,
+                )
+                for edges in (1, 8)
+            ),
+            *(
+                partial(
+                    bench_tune, name, n=256, density=0.05, batch=8,
+                    duration=60.0, repeats=repeats,
+                )
+                for name in TUNE_ARMS
+            ),
+        ]
+    workers = workers or 4
+    return [
+        *(
+            partial(
+                bench_drift, n=n, density=density, steps=50, repeats=repeats
+            )
+            for n, density in ((2048, 0.02), (2048, 0.05), (1024, 0.10))
+        ),
+        partial(
+            bench_circuit_batch, n=256, density=0.1, batch=max(32, batch // 2),
+            duration=20.0, repeats=repeats,
+        ),
+        partial(
+            bench_equilibrium, n=1024, density=0.05, batch=batch,
+            repeats=repeats,
+        ),
+        # The large sharded run_batch case: per-shard matvecs are sized so
+        # the pickle/fork overhead amortizes, which is when sharding pays.
+        partial(
+            bench_parallel_batch, n=512, density=0.05, batch=max(batch, 256),
+            duration=10.0, workers=workers, repeats=repeats,
+        ),
+        # The zero-copy payoff curve: legacy per-task pickling grows with
+        # n (operator + result arrays), shm payloads stay descriptor-sized.
+        partial(
+            bench_parallel_scaling, sizes=(512, 2048, 8192),
+            shards_grid=(4, 8), workers_grid=(1, workers), density=0.02,
+            batch=32, duration=2.0,
+        ),
+        # Streaming deltas over delta size × n × density (acceptance: ≥5x
+        # at n=4096, 1 edge).
+        *(
+            partial(
+                bench_stream_update, n=n, density=density,
+                delta_edges=edges, repeats=repeats,
+            )
+            for n, density, edges in (
+                (1024, 0.02, 1),
+                (1024, 0.02, 8),
+                (4096, 0.01, 1),
+                (4096, 0.01, 8),
+                (4096, 0.01, 32),
+            )
+        ),
+        # Annealing-path tuning (acceptance: early-exit ≥2x at n=2048 at
+        # equal accuracy).
+        *(
+            partial(
+                bench_tune, name, n=n, density=density, batch=8,
+                duration=100.0, repeats=repeats,
+            )
+            for n, density in ((1024, 0.02), (2048, 0.01))
+            for name in TUNE_ARMS
+        ),
+    ]
+
+
+def _nn_cases(
+    smoke: bool, batch: int, repeats: int, workers: int | None
+) -> list[partial]:
+    dataset = load_dataset("traffic", size="small")
+    if smoke:
+        return [
+            partial(
+                bench_train_epoch, dataset, hidden=8, epochs=1,
+                batch_size=batch, repeats=repeats,
+            ),
+            partial(
+                bench_inference, dataset, hidden=8, repeats=max(repeats, 10)
+            ),
+            partial(
+                bench_graphconv, n=160, density=0.05, channels=8, batch=2,
+                repeats=repeats,
+            ),
+        ]
+    return [
+        partial(
+            bench_train_epoch, dataset, hidden=32, epochs=2,
+            batch_size=batch, repeats=repeats,
+        ),
+        partial(
+            bench_train_epoch, dataset, hidden=32, epochs=2,
+            batch_size=batch, repeats=repeats, graph_backend=None,
+            name="float32-only",
+        ),
+        partial(bench_inference, dataset, hidden=32, repeats=max(repeats, 30)),
+        partial(
+            bench_graphconv, n=500, density=0.02, channels=16, batch=4,
+            repeats=repeats,
+        ),
+    ]
+
+
+def _serve_cases(
+    smoke: bool, batch: int, repeats: int, workers: int | None
+) -> list[partial]:
+    # Smoke p99.9 numbers are statistically meaningless (a few hundred
+    # requests); the committed baseline uses the full sizes.
+    if smoke:
+        n, density, num_requests, rate_rps, burst = 64, 0.1, 80, 2000.0, 16
+        windows = SERVE_SMOKE_WINDOWS
+    else:
+        n, density, num_requests, rate_rps, burst = 256, 0.05, 400, 1000.0, 64
+        windows = SERVE_FULL_WINDOWS
+    model = _serve_model(n, density, seed=0)
+    workload = synthetic_workload(
+        model,
+        num_requests=num_requests,
+        rate_rps=rate_rps,
+        burstiness=4.0,
+        num_groups=4,
+        seed=0,
+    )
+
+    def config(window: float) -> ServeConfig:
+        return ServeConfig(
+            batch_window_ms=window,
+            max_batch_size=max(burst, 32),
+            max_queue=max(4 * num_requests, 256),
+        )
+
+    return [
+        *(
+            partial(
+                bench_serve_traffic, model, workload, config(window), "open",
+                repeats,
+            )
+            for window in windows
+        ),
+        partial(
+            bench_serve_traffic, model, workload,
+            config(windows[len(windows) // 2]), "closed", repeats,
+        ),
+        partial(bench_serve_burst, n, density, burst, repeats),
+        partial(bench_serve_overload, n, density),
+    ]
+
+
+#: The registry: suite -> (payload name, case builder).  A builder takes
+#: ``(smoke, batch, repeats, workers)`` and returns the suite's cases,
+#: each a partial that returns one result row.
+SUITES = {
+    "core": ("core_hot_paths", _core_cases),
+    "nn": ("nn_fast_path", _nn_cases),
+    "serve": ("serve_slo", _serve_cases),
+}
+
+
+def _machine() -> dict:
+    """The machine every row of one payload ran on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # older numpy only prints its build configuration
+        blas_name = None
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        "blas": blas_name,
+        **{var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
+def run_suite(
+    suite: str,
     smoke: bool = False,
     batch: int = 64,
     repeats: int = 3,
     workers: int | None = None,
 ) -> dict:
-    """Run the full hot-path benchmark suite.
+    """Run one suite of :data:`SUITES` and wrap its rows in the envelope.
 
     Args:
-        smoke: Use tiny problem sizes (seconds, for CI smoke runs) instead
-            of the trajectory-grade sizes.
-        batch: Batch size for the batched-inference comparisons.
-        repeats: Best-of repeats per timing.
-        workers: Worker count of the serial-vs-parallel scaling
-            comparison; defaults to 4 (2 in smoke mode).
+        suite: ``core``, ``nn`` or ``serve``.
+        smoke: Tiny problem sizes (seconds, for CI smoke runs) instead of
+            the trajectory-grade sizes.
+        batch: Batch size of the batched core comparisons and the nn
+            training mini-batch.
+        repeats: Repeats per timing (serve: replays per load point).
+        workers: Worker count of the core serial-vs-parallel rows;
+            defaults to 4 (2 in smoke mode).
 
     Returns:
-        A JSON-serializable payload (see ``BENCH_core.json``).  Includes a
-        ``metrics`` snapshot (cache hit counters, factorize/solve timing
-        histograms) collected while the benchmarks ran.
+        The JSON-serializable ``BENCH_<suite>.json`` payload: the machine,
+        the result rows, and a metrics snapshot (cache hit counters,
+        timing histograms, ``gnn.*`` and ``serve.*`` counters) collected
+        while the rows ran.
     """
+    benchmark, cases = SUITES[suite]
     with obs.metrics_enabled() as registry:
-        results = _run_benchmark_suite(smoke, batch, repeats, workers)
+        results = [case() for case in cases(smoke, batch, repeats, workers)]
         snapshot = registry.snapshot()
     return {
-        "benchmark": "core_hot_paths",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "benchmark": benchmark,
+        **_machine(),
         "smoke": smoke,
         "repeats": repeats,
         "results": results,
@@ -513,122 +1322,40 @@ def run_core_benchmarks(
     }
 
 
-def _run_benchmark_suite(
-    smoke: bool, batch: int, repeats: int, workers: int | None = None
-) -> list[dict]:
-    # Imported here because repro.tune.bench imports helpers from this
-    # module; a top-level import would be circular.
-    from .tune.bench import bench_tune_suite
-
-    results = []
-    if smoke:
-        results.append(bench_drift(n=96, density=0.05, steps=20, repeats=repeats))
-        results.append(
-            bench_circuit_batch(
-                n=64, density=0.2, batch=min(batch, 8), duration=2.0,
-                repeats=repeats,
-            )
-        )
-        results.append(
-            bench_equilibrium(
-                n=96, density=0.1, batch=min(batch, 8), repeats=repeats
-            )
-        )
-        results.append(
-            bench_parallel_batch(
-                n=96, density=0.1, batch=min(batch, 8), duration=2.0,
-                workers=workers or 2, repeats=repeats,
-            )
-        )
-        results.append(
-            bench_parallel_scaling(
-                sizes=(64, 128),
-                shards_grid=(2,),
-                workers_grid=(1, workers or 2),
-                density=0.1,
-                batch=min(batch, 8),
-                duration=1.0,
-            )
-        )
-        results.extend(bench_stream_suite(smoke=True, repeats=repeats))
-        results.extend(bench_tune_suite(smoke=True, repeats=repeats))
-    else:
-        for n, density in ((2048, 0.02), (2048, 0.05), (1024, 0.10)):
-            results.append(
-                bench_drift(n=n, density=density, steps=50, repeats=repeats)
-            )
-        results.append(
-            bench_circuit_batch(
-                n=256, density=0.1, batch=max(32, batch // 2),
-                duration=20.0, repeats=repeats,
-            )
-        )
-        results.append(
-            bench_equilibrium(n=1024, density=0.05, batch=batch, repeats=repeats)
-        )
-        # The large sharded run_batch case: per-shard matvecs are sized so
-        # the pickle/fork overhead amortizes, which is when sharding pays.
-        results.append(
-            bench_parallel_batch(
-                n=512, density=0.05, batch=max(batch, 256), duration=10.0,
-                workers=workers or 4, repeats=repeats,
-            )
-        )
-        # The zero-copy payoff curve: legacy per-task pickling grows with
-        # n (operator + result arrays), shm payloads stay descriptor-sized.
-        results.append(
-            bench_parallel_scaling(
-                sizes=(512, 2048, 8192),
-                shards_grid=(4, 8),
-                workers_grid=(1, workers or 4),
-                density=0.02,
-                batch=32,
-                duration=2.0,
-            )
-        )
-        # Streaming deltas: incremental SMW update vs full refactorization,
-        # over delta size × n × density (acceptance: ≥5x at n=4096, 1 edge).
-        results.extend(bench_stream_suite(smoke=False, repeats=repeats))
-        # Annealing-path tuning: early-exit freeze-out vs the fixed budget
-        # and adaptive steps vs a conservative dt (acceptance: early-exit
-        # ≥2x at n=2048 at equal accuracy).
-        results.extend(bench_tune_suite(smoke=False, repeats=repeats))
-    return results
-
-
 def format_bench(payload: dict) -> str:
-    """Human-readable table of a benchmark payload.
+    """Human-readable tables of a benchmark payload, one per row kind.
 
-    Best-of stays the headline number; the median and p90 of the
-    optimized path expose run-to-run dispersion next to it.
+    Comparison rows lead: best-of stays the headline number, and the
+    median and p90 of the optimized path expose run-to-run dispersion
+    next to it.
     """
+    results = payload["results"]
     lines = [
         f"{'benchmark':<36s} {'n':>5s} {'dens':>5s} {'base ms':>9s} "
         f"{'opt ms':>9s} {'opt p50':>9s} {'opt p90':>9s} {'speedup':>8s} "
         f"{'max|diff|':>10s}"
     ]
-    for r in payload["results"]:
+    for r in results:
         if "baseline_ms" not in r:
             continue
-        stats = r.get("optimized_stats", {})
+        stats = r["optimized_stats"]
         # Tune rows carry an absolute MAE vs the exact fixed point
         # instead of a baseline-vs-optimized output diff.
         diff = r.get("max_abs_diff", r.get("optimized_mae", float("nan")))
         lines.append(
             f"{r['name']:<36s} {r['n']:>5d} {r['density']:>5.2f} "
             f"{r['baseline_ms']:>9.2f} {r['optimized_ms']:>9.2f} "
-            f"{stats.get('median_ms', r['optimized_ms']):>9.2f} "
-            f"{stats.get('p90_ms', r['optimized_ms']):>9.2f} "
+            f"{stats['median_ms']:>9.2f} {stats['p90_ms']:>9.2f} "
             f"{r['speedup']:>7.1f}x {diff:>10.2e}"
         )
-    for r in payload["results"]:
+    for r in results:
         if "cache_hit_rate" in r:
             lines.append(
                 f"LU-cache hit rate ({r['name']}): "
                 f"{100.0 * r['cache_hit_rate']:.1f}% "
                 f"({r['cache_hits']} hits / {r['cache_misses']} misses)"
             )
-        if r.get("name") == "parallel_scaling_curve":
+        if "rows" in r:
             lines.append(
                 f"{'scaling curve':<22s} {'n':>6s} {'shards':>6s} "
                 f"{'workers':>7s} {'ms':>9s} {'pkl legacy':>10s} "
@@ -636,13 +1363,45 @@ def format_bench(payload: dict) -> str:
             )
             for row in r["rows"]:
                 lines.append(
-                    f"{'':<22s} {row['n']:>6d} {row['shards']:>6d} "
+                    f"{r['name']:<22s} {row['n']:>6d} {row['shards']:>6d} "
                     f"{row['workers']:>7d} {row['elapsed_ms']:>9.2f} "
                     f"{row['task_pickled_bytes_legacy']:>10d} "
                     f"{row['task_pickled_bytes_shm']:>8d} "
                     f"{row['pickle_reduction']:>8.1f}x "
                     f"{row['peak_rss_mb']:>8.1f}"
                 )
+    traffic = [r for r in results if "p50_ms" in r]
+    if traffic:
+        lines.append(
+            f"{'serve traffic':<22s} {'loop':>6s} {'win ms':>7s} "
+            f"{'reqs':>6s} {'p50 ms':>8s} {'p99 ms':>8s} {'p99.9':>8s} "
+            f"{'rps':>9s} {'batch':>6s} {'shed':>5s}"
+        )
+    for r in traffic:
+        lines.append(
+            f"{r['name']:<22s} {r['mode']:>6s} "
+            f"{r['batch_window_ms']:>7.1f} {r['requests']:>6d} "
+            f"{r['p50_ms']:>8.2f} {r['p99_ms']:>8.2f} "
+            f"{r['p999_ms']:>8.2f} {r['throughput_rps']:>9.1f} "
+            f"{r['mean_batch_size']:>6.1f} {r['shed']:>5d}"
+        )
+    for r in results:
+        if "throughput_batched_rps" in r:
+            lines.append(
+                f"batched vs serial (burst {r['batch']}): "
+                f"{r['speedup']:.1f}x throughput "
+                f"({r['throughput_serial_rps']:.0f} -> "
+                f"{r['throughput_batched_rps']:.0f} rps), "
+                f"max|diff| {r['max_abs_diff']:.1e}, "
+                f"bitwise_identical={r['bitwise_identical']}"
+            )
+        if "shed_fraction" in r:
+            lines.append(
+                f"{r['name']} (queue {r['max_queue']}): "
+                f"{r['shed']}/{r['requests']} shed "
+                f"({100.0 * r['shed_fraction']:.1f}%), "
+                f"{r['completed']} completed"
+            )
     return "\n".join(lines)
 
 

@@ -3,13 +3,12 @@
 A stdlib-``asyncio`` serving layer: single-sample requests coalesce into
 dynamic batches over the batched engine paths, with fingerprint-keyed
 cache warmth, bounded-queue admission control, and graceful shutdown
-(:mod:`repro.serve.server`); seeded open/closed-loop bursty traffic
-generation (:mod:`repro.serve.traffic`); and the SLO benchmark suite
-behind ``repro serve bench`` / ``BENCH_serve.json``
-(:mod:`repro.serve.bench`).
+(:mod:`repro.serve.server`); and seeded open/closed-loop bursty
+traffic generation (:mod:`repro.serve.traffic`).  The SLO benchmark rows
+behind ``repro bench --suite serve`` / ``BENCH_serve.json`` live in
+:mod:`repro.perf`.
 """
 
-from .bench import format_serve_bench, run_serve_benchmarks
 from .server import (
     STATUS_FAILED,
     STATUS_OK,
@@ -39,9 +38,7 @@ __all__ = [
     "TrafficRequest",
     "Workload",
     "closed_loop",
-    "format_serve_bench",
     "open_loop",
-    "run_serve_benchmarks",
     "summarize_latencies",
     "synthetic_workload",
 ]

@@ -1,6 +1,6 @@
 """Streaming graphs: deltas, incremental refactorization, windowed runs.
 
-The subsystem has three layers:
+The subsystem has two layers:
 
 * :mod:`repro.stream.deltas` — the :class:`GraphDelta` edit type and
   seeded delta samplers.
@@ -8,9 +8,10 @@ The subsystem has three layers:
   replay a seeded delta+observation stream through an engine (or the
   serving layer), recording per-window accuracy and
   incremental-vs-refactorization counts (``repro stream run``).
-* :mod:`repro.stream.bench` — refactor-vs-incremental cost curves over
-  (delta size × n × density), recorded into BENCH_core.json and gated
-  by ``repro obs diff``.
+
+The refactor-vs-incremental cost curves over (delta size × n × density)
+are core-suite rows of :mod:`repro.perf`, recorded into BENCH_core.json
+and gated by ``repro obs diff``.
 
 The actual incremental machinery lives with the things it updates:
 :meth:`repro.core.operators.CouplingOperator.apply_delta`,
@@ -18,7 +19,6 @@ The actual incremental machinery lives with the things it updates:
 :meth:`repro.core.inference.NaturalAnnealingEngine.apply_delta`.
 """
 
-from .bench import run_stream_benchmarks
 from .deltas import GraphDelta, delta_stream, random_delta
 from .runner import StreamConfig, StreamResult, format_stream_summary, run_stream
 
@@ -30,5 +30,4 @@ __all__ = [
     "StreamResult",
     "format_stream_summary",
     "run_stream",
-    "run_stream_benchmarks",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .. import obs
 from ..core.inference import NaturalAnnealingEngine
-from ..core.model import DSGLModel
+from ..core.model import DSGLModel, random_sparse_system
 from .deltas import GraphDelta, random_delta
 
 __all__ = [
@@ -149,8 +149,6 @@ class StreamResult:
 
 
 def _build_engine(config: StreamConfig) -> NaturalAnnealingEngine:
-    from ..perf import random_sparse_system
-
     J, h = random_sparse_system(config.n, config.density, seed=config.seed)
     model = DSGLModel(J=J, h=h)
     return NaturalAnnealingEngine(model=model, backend=config.backend)

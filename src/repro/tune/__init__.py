@@ -1,11 +1,10 @@
 """Annealing-path autotuning: Pareto search over integration configs.
 
-See :mod:`repro.tune.search` for the search/replay machinery and
-:mod:`repro.tune.bench` for the equal-accuracy-at-lower-latency
-benchmark rows recorded in ``BENCH_core.json``.
+See :mod:`repro.tune.search` for the search/replay machinery.  The
+equal-accuracy-at-lower-latency benchmark rows recorded in
+``BENCH_core.json`` are core-suite rows of :mod:`repro.perf`.
 """
 
-from .bench import bench_tune_suite
 from .search import (
     CircuitProblem,
     DspuProblem,
@@ -24,7 +23,6 @@ __all__ = [
     "CircuitProblem",
     "DspuProblem",
     "TuneCandidate",
-    "bench_tune_suite",
     "build_grid",
     "build_problem",
     "evaluate_candidate",

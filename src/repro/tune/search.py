@@ -31,8 +31,7 @@ from .. import obs
 from ..core.annealing import AnnealingController, schedule_from_name
 from ..core.dynamics import CircuitSimulator, IntegrationConfig
 from ..core.inference import NaturalAnnealingEngine
-from ..core.model import DSGLModel
-from ..perf import random_sparse_system
+from ..core.model import DSGLModel, random_sparse_system
 
 __all__ = [
     "TuneCandidate",

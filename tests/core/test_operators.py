@@ -9,9 +9,9 @@ from repro.core import (
     DSGLModel,
     NaturalAnnealingEngine,
     RealValuedHamiltonian,
+    random_sparse_system,
     select_backend,
 )
-from repro.perf import random_sparse_system
 
 DENSITIES = (0.02, 0.05, 0.20)
 

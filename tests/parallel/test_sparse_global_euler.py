@@ -19,13 +19,13 @@ from repro.core.dynamics import (
     IntegrationConfig,
     fixed_step_count,
 )
+from repro.core.model import random_sparse_mesh
 from repro.core.operators import CouplingOperator
 from repro.parallel import (
     expected_record_count,
     run_batch_sharded,
     shm_residue,
 )
-from repro.perf import random_sparse_mesh
 
 NOISE_FREE = IntegrationConfig(dt=0.05, record_every=1000)
 

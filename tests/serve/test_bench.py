@@ -1,21 +1,24 @@
-"""The serve SLO benchmark payload: shape, guarantees, diff-gate fit."""
+"""The serve suite of the bench harness (``repro bench --suite serve``):
+payload shape, serving guarantees, determinism.
 
-import numpy as np
+Row identity and the silent self-diff are checked for every suite in
+``tests/test_perf.py``.
+"""
+
 import pytest
 
-from repro.obs.regress import compare_bench, result_key
-from repro.serve import format_serve_bench
-from repro.serve.bench import (
-    SMOKE_WINDOWS,
+from repro.perf import (
+    SERVE_SMOKE_WINDOWS,
     bench_serve_burst,
     bench_serve_overload,
-    run_serve_benchmarks,
+    format_bench,
+    run_suite,
 )
 
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_serve_benchmarks(smoke=True, repeats=2, seed=0)
+    return run_suite("serve", smoke=True, repeats=2)
 
 
 class TestPayloadShape:
@@ -31,9 +34,9 @@ class TestPayloadShape:
         rows = [
             r for r in payload["results"] if r["name"] == "serve_open_loop"
         ]
-        assert len(rows) == len(SMOKE_WINDOWS) >= 3
+        assert len(rows) == len(SERVE_SMOKE_WINDOWS) >= 3
         assert sorted(r["batch_window_ms"] for r in rows) == sorted(
-            SMOKE_WINDOWS
+            SERVE_SMOKE_WINDOWS
         )
         for row in rows:
             assert row["completed"] == row["requests"]
@@ -54,17 +57,8 @@ class TestPayloadShape:
             rows[-1]["mean_batch_size"] >= rows[0]["mean_batch_size"]
         )
 
-    def test_rows_have_distinct_diff_keys(self, payload):
-        keys = [result_key(row) for row in payload["results"]]
-        assert len(keys) == len(set(keys))
-
-    def test_self_diff_is_silent(self, payload):
-        report = compare_bench(payload, payload)
-        assert report["regressions"] == 0
-        assert report["compared"] > 0
-
     def test_format_renders(self, payload):
-        rendered = format_serve_bench(payload)
+        rendered = format_bench(payload)
         assert "serve_open_loop" in rendered
         assert "bitwise_identical=True" in rendered
 

@@ -158,6 +158,34 @@ class TestBenchCommand:
         args = build_parser().parse_args(["bench", "--suite", "nn"])
         assert args.suite == "nn"
 
+    def test_bench_suite_serve_defaults(self):
+        args = build_parser().parse_args(["bench", "--suite", "serve", "--smoke"])
+        assert args.suite == "serve"
+        assert args.smoke is True
+        assert args.repeats == 3
+
+    def test_bench_suite_serve_smoke_writes_payload(self, capsys, tmp_path):
+        out = tmp_path / "BENCH_serve.json"
+        code = main(
+            [
+                "bench", "--suite", "serve", "--smoke", "--repeats", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "bitwise_identical=True" in printed
+        import json
+
+        payload = json.loads(out.read_text())
+        assert payload["benchmark"] == "serve_slo"
+        names = {row["name"] for row in payload["results"]}
+        assert {
+            "serve_open_loop",
+            "serve_batched_vs_serial",
+            "serve_overload_shed",
+        } <= names
+
     def test_bench_suite_nn_smoke_writes_json(self, capsys, tmp_path):
         import json
 
@@ -425,11 +453,9 @@ class TestServeCli:
         assert args.max_queue == 256
         assert args.closed_loop is False
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve", "bench", "--smoke"])
-        assert args.serve_command == "bench"
-        assert args.smoke is True
-        assert args.repeats == 3
+    def test_serve_bench_is_a_usage_error(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "bench"])
 
     def test_serve_accepts_observability_flags(self):
         args = build_parser().parse_args(
@@ -465,28 +491,6 @@ class TestServeCli:
         )
         assert code == 0
         assert "closed-loop: 12/12 served" in capsys.readouterr().out
-
-    def test_serve_bench_smoke_writes_payload(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_serve.json"
-        code = main(
-            [
-                "serve", "bench", "--smoke", "--repeats", "1",
-                "--out", str(out), "--seed", "1",
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "bitwise_identical=True" in printed
-        import json
-
-        payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "serve_slo"
-        names = {row["name"] for row in payload["results"]}
-        assert {
-            "serve_open_loop",
-            "serve_batched_vs_serial",
-            "serve_overload_shed",
-        } <= names
 
     def test_serve_run_records_serve_spans(self, tmp_path):
         trace = tmp_path / "serve.jsonl"

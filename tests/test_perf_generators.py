@@ -1,4 +1,4 @@
-"""Tests of the random coupling generators in :mod:`repro.perf`.
+"""Tests of the random coupling generators in :mod:`repro.core.model`.
 
 ``random_sparse_mesh`` builds the 100k-node system of the README's
 scale-out recipe and the shared-memory perf gates without ever forming a
@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import CouplingOperator
-from repro.perf import random_sparse_mesh, random_sparse_system
+from repro.core import CouplingOperator, random_sparse_mesh, random_sparse_system
 
 
 class TestRandomSparseMesh:
