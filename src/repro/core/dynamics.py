@@ -25,6 +25,7 @@ circuit simulator: explicit integrators over the node ODEs, with support for
 
 from __future__ import annotations
 
+import copy
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -354,42 +355,80 @@ def fixed_step_count(duration: float, dt: float) -> int:
 
 
 def free_drift(drift, free: np.ndarray, sigma: np.ndarray):
-    """``drift`` as the integration loop calls it for one run: the full
-    ``(..., n)`` state in, the currents of the ``free`` nodes out.
+    """``drift`` as the integration loop calls it for one run: the
+    ``(m, batch)`` block of the ``m`` sorted ``free`` nodes' values in,
+    their currents out in the same layout.
 
-    ``sigma`` is the run's starting state, its clamped columns (the nodes
-    not in ``free``) already written; they hold those values for the whole
-    run.  A drift made by
+    ``sigma`` is the run's ``(batch, n)`` starting state, its clamped
+    columns (the nodes not in ``free``) already written; they hold those
+    values for the whole run.  A drift made by
     :meth:`~repro.core.operators.CouplingOperator._rows_drift` is bound to
-    them: its leading clamped CSR entries are folded into a per-member
-    prefix, and the result has a ``select`` method that
-    :meth:`CircuitSimulator._integrate` calls to keep the surviving
-    members' prefix when the early-exit freeze-out shrinks the batch.
-    Every other drift returns all ``n`` currents and is sliced to
-    ``free``, unless every node is free.
+    them: the block is its CSR kernel's input, and its leading clamped CSR
+    entries are folded into a per-member prefix.  Every other drift takes
+    full ``(batch, n)`` states and returns all ``n`` currents;
+    :class:`_StateDrift` adapts it.  Both results have a ``select`` method
+    that :meth:`CircuitSimulator._integrate` calls to keep the surviving
+    members when the early-exit freeze-out shrinks the batch.
     """
     if hasattr(drift, "bind"):
         return drift.bind(sigma, free)
-    if free.size == sigma.shape[-1]:
-        return drift
-    cols = node_columns(free)
-
-    def sliced(state: np.ndarray) -> np.ndarray:
-        return np.asarray(drift(state))[..., cols]
-
-    return sliced
+    return _StateDrift(drift, sigma, free)
 
 
-def check_node_index(index: np.ndarray, n: int, name: str) -> None:
-    """Reject node indices outside ``[0, n)`` or repeated.
+class _StateDrift:
+    """A drift of full ``(batch, n)`` states, called with the ``(m,
+    batch)`` free block.
+
+    It holds a C-contiguous copy of the run's state, whose clamped columns
+    never change.  Each call writes the block into the free columns and
+    hands the drift that state, so the drift sees the values and the
+    layout the full-width loop gave it.  The free nodes' currents come
+    back as an ``(m, batch)`` view of the drift's result.  Its block is
+    Fortran-ordered, the transpose of the state's free columns, so
+    neither the write nor the returned view transposes memory.
+    """
+
+    #: Memory order of the block this drift takes.
+    order = "F"
+
+    def __init__(self, drift, sigma: np.ndarray, free: np.ndarray):
+        self._drift = drift
+        self._state = np.array(sigma, order="C")
+        self._cols = node_columns(free)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        self._state[:, self._cols] = block.T
+        return np.asarray(self._drift(self._state))[:, self._cols].T
+
+    def select(self, members) -> "_StateDrift":
+        """This drift for the batch members ``members`` alone."""
+        narrowed = copy.copy(self)
+        narrowed._state = self._state[members]
+        return narrowed
+
+
+def check_node_index(index: np.ndarray, n: int, name: str) -> np.ndarray:
+    """Reject node indices outside ``[0, n)`` or repeated, and return the
+    ``(n,)`` mask of the indexed nodes.
 
     ``-1`` would address the last node, and a repeated clamp index would
     silently keep only its last value.
     """
     if index.size and (index.min() < 0 or index.max() >= n):
         raise ValueError(f"{name} out of range")
-    if np.unique(index).size != index.size:
+    mask = np.zeros(n, dtype=bool)
+    mask[index] = True
+    if np.count_nonzero(mask) != index.size:
         raise ValueError(f"{name} contains duplicates")
+    return mask
+
+
+def free_nodes(n: int, clamped: np.ndarray) -> np.ndarray:
+    """The nodes of ``range(n)`` not in ``clamped``, ascending, as
+    ``np.setdiff1d(np.arange(n), clamped)`` returns them."""
+    free = np.ones(n, dtype=bool)
+    free[clamped] = False
+    return np.flatnonzero(free)
 
 
 @dataclass
@@ -453,12 +492,16 @@ class CircuitSimulator:
         clamp_index, clamp_value = self._check_clamps(n, clamp_index, clamp_value)
         clamp_index, clamp_value = self._with_stuck(clamp_index, clamp_value)
         sigma[clamp_index] = clamp_value
-        free = np.setdiff1d(np.arange(n), clamp_index)
-        drift = free_drift(drift, free, sigma)
+        free = free_nodes(n, clamp_index)
+        single = drift
+        if hasattr(single, "bind"):
+            drift_batch = single  # a rows drift takes state batches too
+        else:
+            def drift_batch(states: np.ndarray) -> np.ndarray:
+                return np.asarray(single(states[0]))[None, :]
 
-        def drift_batch(states: np.ndarray) -> np.ndarray:
-            return np.asarray(drift(states[0]))[None, :]
-
+        sigma = sigma[None, :]
+        drift = free_drift(drift_batch, free, sigma)
         energy_batch = None
         if energy is not None:
             def energy_batch(states: np.ndarray) -> np.ndarray:
@@ -469,7 +512,7 @@ class CircuitSimulator:
         ) as span:
             with obs.metrics().timer("circuit.run_ms"):
                 times, states, energies, stats = self._integrate(
-                    drift_batch, sigma[None, :], duration, free, energy_batch
+                    drift, sigma, duration, free, energy_batch
                 )
             trajectory = Trajectory(
                 times=times, states=states[:, 0, :], energies=energies[:, 0]
@@ -566,7 +609,7 @@ class CircuitSimulator:
         )
         clamp_index, clamp_value = self._with_stuck(clamp_index, clamp_value)
         sigma[:, clamp_index] = clamp_value
-        free = np.setdiff1d(np.arange(n), clamp_index)
+        free = free_nodes(n, clamp_index)
         with obs.tracer().span(
             "circuit.run_batch", batch=batch, n=n, method=self.config.method
         ) as span:
@@ -723,32 +766,52 @@ class CircuitSimulator:
         """Vectorized Euler/RK4 loop over a ``(batch, n)`` state matrix.
 
         ``sigma`` arrives with its clamped columns (observed and stuck
-        nodes) already written; ``free`` lists the other, sorted.  The loop
-        integrates only the ``(batch, m)`` block of the ``m`` free nodes.
-        ``drift`` maps a full ``(batch, n)`` state to the ``(batch, m)``
-        free-node currents, bound to this run by :func:`free_drift`.  A
-        bound CSR rows drift carries the clamped nodes' constant drive as a
-        per-member prefix; when the freeze-out shrinks the batch, the loop
-        keeps the survivors' prefix through the drift's ``select``.  Each
-        accepted step advances the block by the drift, adds node noise and
-        clips it to the rail.  It then writes the block back into
-        ``sigma``, which stays the drift's input and the recorded frame.
-        The clamped columns are never written again.  RK4 and adaptive
-        stages are copies of the state with only their clipped free block
-        replaced.  Without clamps the block is the state itself.
+        nodes) already written; ``free`` lists the other ``m``, sorted.
+        The loop integrates only the free nodes, carried as one ``(m,
+        active)`` *block*.  ``drift`` maps a block to the free nodes'
+        currents in that layout, bound to this run by :func:`free_drift`.
+        A bound CSR rows drift takes the block as its kernel input, so the
+        block is C-contiguous, the layout scipy's CSR kernel reads and
+        writes, and it carries the clamped nodes' constant drive as a
+        per-member prefix.  Every other drift gets the block written into
+        a full state it holds, and takes it in Fortran order, the layout
+        of that state's free columns.  When the freeze-out shrinks the
+        batch, the loop keeps the survivors' columns of the block and of
+        the drift (its ``select``).  Each accepted step advances the block
+        by the drift, adds node noise and clips it to the rail.  RK4 and
+        adaptive stages are clipped blocks passed to the drift as they
+        are.
+
+        Full ``(batch, n)`` states are built only where something reads
+        them: the kept frames after the loop, the energy probe, and the
+        divergence guard's error path.  Each is ``sigma`` with the active
+        members' free columns taken from the block.  A member that freezes
+        has its block written into ``sigma`` once, and the clamped columns
+        are never written again.  So a frame is kept as its time, block
+        and active set, a view of nothing that changes later, and no step
+        copies a state.
 
         This computes the bits of the loop that advanced all ``n`` columns
         and re-asserted the clamps after every step and stage:
 
         * every free entry goes through the same IEEE operations in the
           same order, and a clamped entry's only value is its clamp;
+          elementwise arithmetic does not depend on the layout;
         * the noise is added and the rail clip runs in place, on arrays
           the step itself allocated, never on one a drift returned;
-        * noise is drawn at the full ``(batch, n)`` shape and then sliced,
-          so the random stream does not move;
+        * noise is drawn at the full ``(active, n)`` shape and then
+          sliced, so the random stream does not move;
         * clamped columns never move, so the settling movement and the
-          adaptive error need only the free columns, and a bound drift's
-          prefix stays valid for the whole run.
+          adaptive error need only the free block, and a bound drift's
+          prefix stays valid for the whole run;
+        * a member whose clamps or block are not finite never freezes
+          (``|c - c|`` is NaN for such a clamp, and a NaN or infinite move
+          is never under the tolerance); so a frozen member is finite, a
+          state is finite exactly when its clamps and its active block
+          are, and the divergence guard raises at the same step with the
+          same count.  (The old loop's adaptive error also read a clamped
+          node's own drift, which a non-finite clamp can make NaN; with
+          such a clamp an adaptive run takes other steps here.)
 
         ``tests/core/test_free_node_integration.py`` pins this against the
         full-width loop byte for byte, and
@@ -762,9 +825,9 @@ class CircuitSimulator:
           batch shares one step size that follows the *worst* member's
           error, so every step stays one batched drift evaluation;
         * the freeze-out (``early_exit``): a member whose state stopped
-          moving leaves the active slice, so later steps run on a smaller
-          ``(active, n)`` matrix, and holds its state.  The run ends at
-          the step that freezes the last member.
+          moving leaves the active set, so later steps run on a narrower
+          block, and holds its state.  The run ends at the step that
+          freezes the last member.
 
         The initial state and every ``record_every``-th step (plus the last
         one) are recorded; ``tail`` keeps only the last ``tail`` of those
@@ -776,7 +839,6 @@ class CircuitSimulator:
         """
         cfg = self.config
         batch, n = sigma.shape
-        clamped = free.size < n
         cols = node_columns(free)
 
         # Energy-descent probe: only live when tracing is on AND an energy
@@ -789,6 +851,10 @@ class CircuitSimulator:
             else 0
         )
         check_every = cfg.divergence_check_every
+        # A clamp moves by |c - c|, which is NaN when c is not finite, so a
+        # member with such a clamp never freezes.
+        finite_clamps = np.isfinite(np.delete(sigma, free, axis=1)).all(axis=1)
+        clamps_finite = bool(finite_clamps.all())
         count_clips = obs.metrics().enabled and cfg.rail is not None
         rail_clips = 0
         inv_c = 1.0 / cfg.capacitance
@@ -808,25 +874,25 @@ class CircuitSimulator:
             dt = cfg.dt
             n_steps = fixed_step_count(duration, dt)
 
-        if clamped:
-            def merge(state: np.ndarray, block: np.ndarray) -> np.ndarray:
-                out = state.copy()
-                out[:, cols] = block
-                return out
-        else:
-            def merge(state: np.ndarray, block: np.ndarray) -> np.ndarray:
-                return block
-
-        # (time, state) pairs; a bounded deque drops the oldest frame.
-        frames = deque([(0.0, sigma.copy())], maxlen=tail)
+        def full(block: np.ndarray, members: np.ndarray) -> np.ndarray:
+            """The ``(batch, n)`` state whose ``members`` hold ``block``."""
+            state = sigma.copy()
+            if members.size == batch:
+                state[:, cols] = block.T
+            else:
+                state[np.ix_(members, free)] = block.T
+            return state
 
         active = np.arange(batch)
         streak = np.zeros(batch, dtype=int)
-        # The drift input of the active members and their free block; both
-        # are gathered again only when the active set shrinks.
-        state = sigma
-        block = sigma[:, cols] if clamped else sigma
-        reference = block.copy()
+        # Every block the loop makes is a new array that nothing writes
+        # into afterwards, so frames and the settling reference keep it.
+        # Elementwise arithmetic keeps its operands' memory order, the one
+        # the drift takes.
+        block = sigma[:, cols].T.copy(order=drift.order)
+        reference = block
+        # (time, block, active) triples; a bounded deque drops the oldest.
+        frames = deque([(0.0, block, active)], maxlen=tail)
         step = rejected = member_steps = frozen_members = 0
         t = 0.0
         exited = False
@@ -835,18 +901,16 @@ class CircuitSimulator:
         while not done:
             if cfg.adaptive:
                 dt = min(dt, duration - t)
-                proposal, err = self._adaptive_trial(
-                    drift, state, block, dt, inv_c, merge
-                )
+                proposal, err = self._adaptive_trial(drift, block, dt, inv_c)
                 if err > 1.0 and dt > dt_min * (1.0 + 1e-9):
                     rejected += 1
                     shrink = max(fac_min, safety * err ** (-1.0 / order))
                     dt = max(dt_min, dt * min(shrink, 1.0))
                     continue
             elif cfg.method == "euler":
-                proposal = block + dt * inv_c * drift(state)
+                proposal = block + dt * inv_c * drift(block)
             else:
-                proposal = self._rk4(drift, state, block, dt, inv_c, merge)
+                proposal = self._rk4(drift, block, dt, inv_c)
             if cfg.node_noise_std > 0:
                 # Thermal/shot noise enters through the same capacitor the
                 # signal does, so it accumulates per step like the drift.
@@ -854,22 +918,14 @@ class CircuitSimulator:
                 # displace them; it is still drawn for them, which keeps
                 # the random stream of a full-width draw.
                 noise = self.rng.normal(
-                    0.0, noise_scale * np.sqrt(dt), size=state.shape
+                    0.0, noise_scale * np.sqrt(dt), size=(active.size, n)
                 )
-                proposal += noise[:, cols] if clamped else noise
+                proposal += noise[:, cols].T
             if count_clips:
                 rail_clips += int(
                     np.count_nonzero(np.abs(proposal) > cfg.rail)
                 )
             block = self._project(proposal)
-            if clamped:
-                state[:, cols] = block
-            else:
-                state = block
-            if active.size == batch:
-                sigma = state
-            else:
-                sigma[active] = state
             step += 1
             member_steps += int(active.size)
             if cfg.adaptive:
@@ -884,9 +940,10 @@ class CircuitSimulator:
                 t = step * dt
                 done = step == n_steps
             if check_every and (step % check_every == 0 or done):
-                check_finite(sigma, "circuit", step, t)
+                if not (clamps_finite and np.isfinite(block).all()):
+                    check_finite(full(block, active), "circuit", step, t)
             if probe_every and (step % probe_every == 0 or done):
-                values = np.asarray(energy(sigma), dtype=float)
+                values = np.asarray(energy(full(block, active)), dtype=float)
                 tracer.event(
                     "circuit.energy_probe",
                     step=step,
@@ -903,32 +960,32 @@ class CircuitSimulator:
                 # Freeze members that moved less than the tolerance (the
                 # Trajectory.settled criterion) over settle_patience
                 # consecutive check windows.
-                moved = np.max(np.abs(block - reference), axis=1, initial=0.0)
+                moved = np.max(np.abs(block - reference), axis=0, initial=0.0)
                 under = moved <= cfg.settle_tolerance
+                if not clamps_finite:
+                    under &= finite_clamps[active]
                 streak[active] = np.where(under, streak[active] + 1, 0)
                 keep = streak[active] < cfg.settle_patience
                 if not keep.all():
-                    frozen_members += int(active.size - keep.sum())
+                    frozen = ~keep
+                    frozen_members += int(np.count_nonzero(frozen))
+                    sigma[np.ix_(active[frozen], free)] = block[:, frozen].T
                     active = active[keep]
-                    state = sigma[active]
-                    block = state[:, cols] if clamped else state
-                    # A drift bound to this run's clamps (free_drift) keeps
-                    # the surviving members' clamped prefix.
-                    if hasattr(drift, "select"):
-                        drift = drift.select(keep)
-                reference = block.copy()
+                    block = block[:, keep].copy(order=drift.order)
+                    drift = drift.select(keep)
+                reference = block
             exited = cfg.early_exit and active.size == 0
             if step % cfg.record_every == 0 or done or exited:
-                frames.append((t, sigma.copy()))
+                frames.append((t, block, active))
             done = done or exited
 
-        times = np.asarray([when for when, _ in frames])
-        states = np.asarray([state for _, state in frames])
+        times = np.asarray([when for when, _, _ in frames])
+        states = np.asarray([full(kept, members) for _, kept, members in frames])
         if energy is None:
             energies = np.zeros((times.size, batch))
         else:
             energies = np.asarray(
-                [np.asarray(energy(state), dtype=float) for _, state in frames]
+                [np.asarray(energy(state), dtype=float) for state in states]
             )
         stats = {
             "steps": step,
@@ -942,20 +999,17 @@ class CircuitSimulator:
         }
         return times, states, energies, stats
 
-    def _rk4(self, drift, y, block, h, inv_c, merge) -> np.ndarray:
-        """One classical RK4 step of size ``h`` from the full state ``y``
-        whose free block is ``block``.  Every intermediate stage is the
-        state with its rail-clipped free block merged in; the returned
-        free block is not clipped."""
-        k1 = drift(y)
-        k2 = drift(merge(y, self._project(block + 0.5 * h * inv_c * k1)))
-        k3 = drift(merge(y, self._project(block + 0.5 * h * inv_c * k2)))
-        k4 = drift(merge(y, self._project(block + h * inv_c * k3)))
+    def _rk4(self, drift, block, h, inv_c) -> np.ndarray:
+        """One classical RK4 step of size ``h`` from the free ``block``.
+        Every intermediate stage is rail-clipped; the returned block is
+        not."""
+        k1 = drift(block)
+        k2 = drift(self._project(block + 0.5 * h * inv_c * k1))
+        k3 = drift(self._project(block + 0.5 * h * inv_c * k2))
+        k4 = drift(self._project(block + h * inv_c * k3))
         return block + h * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
-    def _adaptive_trial(
-        self, drift, state, block, dt, inv_c, merge
-    ) -> tuple[np.ndarray, float]:
+    def _adaptive_trial(self, drift, block, dt, inv_c) -> tuple[np.ndarray, float]:
         """One trial step of the embedded pair at step size ``dt``.
 
         Returns ``(proposal, err)`` where ``proposal`` is the higher-order
@@ -969,20 +1023,15 @@ class CircuitSimulator:
         """
         cfg = self.config
         if cfg.method == "euler":
-            k1 = drift(state)
+            k1 = drift(block)
             euler = block + dt * inv_c * k1
-            k2 = drift(merge(state, self._project(euler.copy())))
+            k2 = drift(self._project(euler.copy(order="K")))
             proposal = block + 0.5 * dt * inv_c * (k1 + k2)
             err_vec = proposal - euler
         else:
-            args = (inv_c, merge)
-            coarse = self._rk4(drift, state, block, dt, *args)
-            half = self._project(
-                self._rk4(drift, state, block, 0.5 * dt, *args)
-            )
-            proposal = self._rk4(
-                drift, merge(state, half), half, 0.5 * dt, *args
-            )
+            coarse = self._rk4(drift, block, dt, inv_c)
+            half = self._project(self._rk4(drift, block, 0.5 * dt, inv_c))
+            proposal = self._rk4(drift, half, 0.5 * dt, inv_c)
             err_vec = proposal - coarse
         scale = cfg.atol + cfg.rtol * np.maximum(
             np.abs(block), np.abs(proposal)

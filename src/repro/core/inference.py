@@ -105,12 +105,12 @@ def split_nodes(
     write).  ``observed_values``, when given, needs one value per index.
     """
     observed_index = np.asarray(observed_index, dtype=int).reshape(-1)
-    check_node_index(observed_index, n, "observed_index")
+    observed = check_node_index(observed_index, n, "observed_index")
     if observed_values is not None and (
         np.shape(observed_values)[-1:] != observed_index.shape
     ):
         raise ValueError("observed_values length must match observed_index")
-    return observed_index, np.setdiff1d(np.arange(n), observed_index)
+    return observed_index, np.flatnonzero(~observed)
 
 
 @dataclass
@@ -568,11 +568,14 @@ class NaturalAnnealingEngine:
         call into a per-sample prefix, and each step multiplies only the
         remaining entries (on the paper's windows, the free block).  When
         the early-exit freeze-out shrinks the batch, the drift keeps the
-        surviving samples' prefix.  The dense and coupler-noise drifts
-        compute every row, and the loop keeps the free ones.  The
+        surviving samples' prefix.  The loop carries the free block in the
+        CSR kernel's ``(free, batch)`` layout, which that drift reads and
+        writes directly.  The dense and coupler-noise drifts compute every
+        row of a full state, and the loop keeps the free ones.  The
         trajectory holds the last two recorded frames (what
         :meth:`~repro.core.dynamics.BatchTrajectory.settled_fraction`
-        reads), and H_RV is evaluated for those two alone.  States,
+        reads): they are the only full states built, after the loop, and
+        H_RV is evaluated for those two alone.  States,
         predictions and the two frames equal those of a ``run_batch`` with
         the operator's full drift bit for bit: each free value goes
         through the same floating-point operations, CSR row slicing keeps

@@ -100,83 +100,38 @@ def _csr_accumulate(indptr, indices, data, columns: int, x, out) -> None:
 
 
 class _RowsDrift:
-    """The drift currents of the nodes ``rows`` alone, optionally bound to
-    one run (see :meth:`CouplingOperator._rows_drift`).
+    """The drift currents of the nodes ``rows`` alone (see
+    :meth:`CouplingOperator._rows_drift`).
 
     A full ``(n,)`` or ``(batch, n)`` state in, ``h[rows] * sigma[...,
     rows] + (J[rows] @ sigma.T).T`` out, each CSR row summed in storage
-    order by :func:`_csr_accumulate`.
-
-    :meth:`bind` fixes the run's free nodes and clamped values.  The
-    leading entries of each row whose columns are clamped are summed once,
-    into a per-member *prefix*, and each call continues the row sums from
-    it over the remaining entries.  A clamped entry that follows a free
-    one stays in the per-call sums: it falls between two partial sums that
-    change, and floating-point addition is not associative.  Each call
-    then gathers only the free columns and the clamped columns the
-    remaining entries read.  Unbound, the prefix is empty: every entry is
-    summed per call, from +0.0.
+    order from +0.0 by :func:`_csr_accumulate`.  :meth:`bind` makes the
+    drift of one integration run.
     """
 
-    def __init__(self, J_rows, h_rows, rows, free=None, sigma=None):
+    def __init__(self, J_rows, h_rows, rows):
         self.rows = rows
-        self.dtype = J_rows.dtype
         self._J_rows = J_rows
         self._h = h_rows
         self._cols = node_columns(rows)
-        count, n = J_rows.shape
-        indptr, indices, data = J_rows.indptr, J_rows.indices, J_rows.data
-        self._prefix = None
-        if free is None:
-            self._rest = (indptr, indices, data, n)
-            self._read = slice(0, n)
-        else:
-            itype = indices.dtype
-            is_free = np.zeros(n, dtype=bool)
-            is_free[free] = True
-            # An entry leads when no entry of its row up to it is free.
-            seen = np.cumsum(is_free[indices])
-            before = np.concatenate(([0], seen))[indptr[:-1]]
-            lead = seen == np.repeat(before, np.diff(indptr))
-            rest = ~lead
-            lead_ptr = np.concatenate(([0], np.cumsum(lead)))[indptr]
-            lead_ptr = lead_ptr.astype(itype)
-            # Each call reads the free columns and those the rest reads.
-            is_free[indices[rest]] = True
-            read = np.flatnonzero(is_free)
-            position = np.zeros(n, dtype=itype)
-            position[read] = np.arange(read.size)
-            self._rest = (
-                indptr - lead_ptr,
-                position[indices[rest]],
-                data[rest],
-                read.size,
-            )
-            self._read = node_columns(read)
-            x = np.ascontiguousarray(np.asarray(sigma).T, dtype=self.dtype)
-            self._prefix = np.zeros((count,) + x.shape[1:], dtype=self.dtype)
-            _csr_accumulate(
-                lead_ptr, indices[lead], data[lead], n, x, self._prefix
-            )
-        #: CSR entries each call multiplies, and those folded into the prefix.
-        self.drift_entries = int(self._rest[2].size)
-        self.folded_entries = int(indices.size) - self.drift_entries
+        #: CSR entries each call multiplies; unbound, none are folded.
+        self.drift_entries = int(J_rows.data.size)
+        self.folded_entries = 0
 
     def __call__(self, sigma):
         sigma = np.asarray(sigma)
-        x = np.ascontiguousarray(sigma.T[self._read], dtype=self.dtype)
-        if self._prefix is None:
-            sums = np.zeros((self.rows.size,) + x.shape[1:], dtype=self.dtype)
-        else:
-            sums = self._prefix.copy()
-        _csr_accumulate(*self._rest, x, sums)
+        J = self._J_rows
+        x = np.ascontiguousarray(sigma.T, dtype=J.dtype)
+        sums = np.zeros((self.rows.size,) + x.shape[1:], dtype=J.dtype)
+        _csr_accumulate(J.indptr, J.indices, J.data, J.shape[1], x, sums)
         currents = self._h * sigma[..., self._cols]
         currents += sums.T
         return currents
 
-    def bind(self, sigma: np.ndarray, free: np.ndarray) -> "_RowsDrift":
+    def bind(self, sigma: np.ndarray, free: np.ndarray) -> "_BoundRowsDrift":
         """This drift for one run: the currents of the sorted ``free``
-        nodes, for states whose other columns hold ``sigma``'s values.
+        nodes, for states whose other columns hold ``sigma``'s values, in
+        the layout of :class:`_BoundRowsDrift`.
 
         Raises ``ValueError`` when a free node is not among :attr:`rows`.
         """
@@ -185,17 +140,109 @@ class _RowsDrift:
         keep = position[free]
         if np.any(keep < 0):
             raise ValueError("the drift does not compute every free node")
-        return _RowsDrift(
-            self._J_rows[keep], self._h[keep], self.rows[keep], free, sigma
-        )
+        return _BoundRowsDrift(self._J_rows[keep], self._h[keep], free, sigma)
 
-    def select(self, members) -> "_RowsDrift":
-        """A bound batch drift for the batch members ``members`` (an index
-        or a mask over the batch) alone."""
-        if self._prefix is None:
-            return self
+
+class _BoundRowsDrift:
+    """A rows drift bound to one run, in the layout of the CSR kernel.
+
+    Called with the free block ``x``, the C-contiguous ``(free, batch)``
+    array of the free nodes' values that
+    :meth:`~repro.core.dynamics.CircuitSimulator._integrate` carries (a
+    ``(free,)`` vector when bound to a single state), it returns their
+    currents in the same layout, each row summed in storage order:
+    ``h * x`` plus the row sums of ``J[free]`` over the run's state.
+
+    The leading entries of each row whose columns are clamped are summed
+    once, into a per-member *prefix*, and each call continues the row sums
+    from it over the remaining entries, with ``x`` as the kernel's input.
+    A clamped entry that follows a free one stays in the per-call sums: it
+    falls between two partial sums that change, and floating-point
+    addition is not associative.  Its clamped value is held in a buffer
+    that the call copies the block into; the buffer's position map puts
+    the free rows first and the clamped columns the remaining entries read
+    after them.  On the paper's windows there are none, and the block
+    itself is the kernel's input.
+
+    The shapes change only in :meth:`__init__` and :meth:`select`, which
+    fix the kernel's output (the prefix) and held input; each call checks
+    its block against them, because the kernel checks no bounds.
+    """
+
+    #: Memory order of the block this drift takes: the kernel's.
+    order = "C"
+
+    def __init__(self, J_free, h_free, free, sigma):
+        count, n = J_free.shape
+        indptr, indices, data = J_free.indptr, J_free.indices, J_free.data
+        itype = indices.dtype
+        is_free = np.zeros(n, dtype=bool)
+        is_free[free] = True
+        # An entry leads when no entry of its row up to it is free.
+        seen = np.cumsum(is_free[indices])
+        before = np.concatenate(([0], seen))[indptr[:-1]]
+        lead = seen == np.repeat(before, np.diff(indptr))
+        rest = ~lead
+        lead_ptr = np.concatenate(([0], np.cumsum(lead)))[indptr]
+        lead_ptr = lead_ptr.astype(itype)
+        # The kernel's input rows: the free nodes, then the clamped
+        # columns that the remaining entries read.
+        is_held = np.zeros(n, dtype=bool)
+        is_held[indices[rest]] = True
+        is_held[free] = False
+        read = np.concatenate((free, np.flatnonzero(is_held)))
+        position = np.zeros(n, dtype=itype)
+        position[read] = np.arange(read.size)
+        self._rest = (indptr - lead_ptr, position[indices[rest]], data[rest])
+        self._read = node_columns(read)
+        sigma = np.asarray(sigma)
+        x = np.ascontiguousarray(sigma.T, dtype=data.dtype)
+        self._prefix = np.zeros((count,) + x.shape[1:], dtype=data.dtype)
+        _csr_accumulate(lead_ptr, indices[lead], data[lead], n, x, self._prefix)
+        # The kernel's rows, input rows and vectors.
+        self._dims = (count, read.size, x.shape[1] if x.ndim == 2 else 1)
+        # ``h`` repeated per member: a broadcast product costs more per call.
+        self._h = np.ascontiguousarray(
+            np.broadcast_to(
+                h_free.reshape((count,) + (1,) * (x.ndim - 1)),
+                self._prefix.shape,
+            )
+        )
+        # The block is the input when nothing else is read and the kernel
+        # takes its dtype; otherwise the call copies it into the held rows.
+        self._held = None
+        if read.size > count or sigma.dtype != data.dtype:
+            self._held = x[read]
+        #: CSR entries each call multiplies, and those folded into the prefix.
+        self.drift_entries = int(self._rest[2].size)
+        self.folded_entries = int(indices.size) - self.drift_entries
+
+    def __call__(self, x):
+        sums = self._prefix.copy()
+        if x.shape != sums.shape:
+            rows, columns, _ = self._dims
+            raise ValueError(
+                f"cannot accumulate {rows} rows over {columns} columns from "
+                f"a block of shape {x.shape} into shape {sums.shape}"
+            )
+        source = x
+        if self._held is not None:
+            source = self._held
+            source[: self._dims[0]] = x
+        _sparsetools.csr_matvecs(*self._dims, *self._rest, source, sums)
+        currents = self._h * x
+        currents += sums
+        return currents
+
+    def select(self, members) -> "_BoundRowsDrift":
+        """This drift for the batch members ``members`` (an index or a
+        mask over the batch) alone."""
         narrowed = copy.copy(self)
-        narrowed._prefix = self._prefix[:, members]
+        narrowed._prefix = np.ascontiguousarray(self._prefix[:, members])
+        narrowed._h = np.ascontiguousarray(self._h[:, members])
+        narrowed._dims = self._dims[:2] + narrowed._prefix.shape[1:]
+        if self._held is not None:
+            narrowed._held = np.ascontiguousarray(self._held[:, members])
         return narrowed
 
 
@@ -782,7 +829,9 @@ class CouplingOperator:
         attribute.
 
         The loop binds it once per run
-        (:func:`~repro.core.dynamics.free_drift`): the leading clamped
+        (:func:`~repro.core.dynamics.free_drift`), and the bound drift
+        takes the loop's ``(free, batch)`` free block as the CSR kernel's
+        input and returns the currents in that layout: the leading clamped
         entries of every row are folded into a constant per-member prefix,
         and each step sums only the remaining entries, continuing from it.
         The early-exit freeze-out narrows the prefix to the surviving

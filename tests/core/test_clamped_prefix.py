@@ -30,6 +30,12 @@ RAIL = 1.0
 SPECIAL = np.array([0.0, -0.0, RAIL, -RAIL, 0.5, -1e-300])
 
 
+def _block(state, free):
+    """The free block a bound drift takes: ``(free, batch)``, C-contiguous
+    (``(free,)`` for a single state)."""
+    return np.ascontiguousarray(state[..., free].T)
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return (
@@ -195,7 +201,9 @@ class TestBoundDrift:
             operator._J[free].nnz
         )
         for state in states:
-            assert _same_bits(bound(state), operator.drift(state)[:, free])
+            assert _same_bits(
+                bound(_block(state, free)).T, operator.drift(state)[:, free]
+            )
         members = np.sort(
             rng.choice(batch, size=int(rng.integers(1, batch + 1)), replace=False)
         )
@@ -203,8 +211,9 @@ class TestBoundDrift:
         mask = np.isin(np.arange(batch), members)
         for state in states:
             want = operator.drift(state[members])[:, free]
-            assert _same_bits(narrowed(state[members]), want)
-            assert _same_bits(bound.select(mask)(state[members]), want)
+            block = _block(state[members], free)
+            assert _same_bits(narrowed(block).T, want)
+            assert _same_bits(bound.select(mask)(block).T, want)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -221,7 +230,9 @@ class TestBoundDrift:
         assert drift.folded_entries == 0
         assert _same_bits(drift(state), operator.drift(state)[:, rows])
         bound = free_drift(drift, rows, state[0])
-        assert _same_bits(bound(state[0]), operator.drift(state[0])[rows])
+        assert _same_bits(
+            bound(_block(state[0], rows)), operator.drift(state[0])[rows]
+        )
 
     def test_window_clamps_fold_every_clamped_entry(self):
         # Frames 0..W-2 clamped, frame W-1 free: on sorted CSR every
@@ -266,10 +277,11 @@ class TestBoundDrift:
         free = np.arange(5, 8)
         sigma = np.zeros((4, 8))
         bound = free_drift(operator._rows_drift(free), free, sigma)
+        # The blocks of a batch of 3 and of 2 free nodes.
         with pytest.raises(ValueError, match="cannot accumulate"):
-            bound(np.zeros((3, 8)))
+            bound(_block(np.zeros((3, 8)), free))
         with pytest.raises(ValueError, match="cannot accumulate"):
-            bound(np.zeros((4, 7)))
+            bound(_block(np.zeros((4, 8)), free[:2]))
 
 
 class TestRunsOwnTheirPrefix:

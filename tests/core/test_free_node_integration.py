@@ -21,7 +21,7 @@ from repro.core.dynamics import CircuitSimulator, fixed_step_count
 from repro.core.model import DSGLModel
 from repro.core.operators import CouplingOperator
 from repro.faults import FaultScenario
-from repro.faults.resilience import check_finite
+from repro.faults.resilience import DivergenceError, check_finite
 
 N = 12
 BATCH = 4
@@ -618,3 +618,141 @@ class TestFreeDrift:
         currents = operator._rows_drift(rows)(sigma)
         assert currents.shape == (BATCH, rows.size)
         assert currents.tobytes() == operator.drift(sigma)[:, rows].tobytes()
+
+
+#: Clamped in ``SHARED`` and ``PREFIX``; ``_isolated`` uncouples it.
+ISOLATED = 3
+
+
+def _drifts(kind, J_, h_, clamp_index):
+    """The drift under test and the full-width loop's reference drift."""
+    if kind == "dense":
+        def drift(sigma):
+            return sigma @ J_ + h_ * sigma
+
+        return drift, drift
+    operator = CouplingOperator(J_, h_, backend="sparse")
+    observed = [] if clamp_index is None else clamp_index
+    rows = operator._rows_drift(np.setdiff1d(np.arange(N), observed))
+    return rows, operator.drift
+
+
+def _observed(run, path):
+    """``run()`` with metrics and a trace: what it returned, or the
+    ``(where, step, time_ns, bad_nodes)`` of the DivergenceError it
+    raised; the trace's events; and the divergence-error count.  Overflow
+    and NaN warnings are silenced: these runs make them on purpose."""
+    with obs.observe(trace_path=path) as (registry, tracer):
+        try:
+            with np.errstate(all="ignore"):
+                outcome = run()
+        except DivergenceError as error:
+            outcome = (error.where, error.step, error.time_ns, error.bad_nodes)
+        errors = registry.counter("faults.divergence_errors").value
+    events = [
+        (record["name"], record["attributes"])
+        for record in tracer.records
+        if record["kind"] == "event"
+    ]
+    return outcome, events, errors
+
+
+def _both(
+    tmp_path, config, drift_kind, J_, h_, clamp_index, clamp_value,
+    duration=DURATION,
+):
+    """The loop under test through ``run_batch`` and the full-width loop,
+    each observed."""
+    drift, reference_drift = _drifts(drift_kind, J_, h_, clamp_index)
+    new = _observed(
+        lambda: CircuitSimulator(
+            config=config, rng=np.random.default_rng(SEED)
+        ).run_batch(drift, _sigma0(), duration, clamp_index, clamp_value, energy),
+        tmp_path / "new.jsonl",
+    )
+    old = _observed(
+        lambda: _full_width_batch(
+            config, FaultScenario(n=N), reference_drift, _sigma0(),
+            clamp_index, clamp_value, energy, duration=duration,
+        ),
+        tmp_path / "old.jsonl",
+    )
+    return new, old
+
+
+class TestBuiltOnDemand:
+    """The loop builds full states only where something reads them: the
+    divergence guard's error path and the energy probe.  Each must raise,
+    emit and count what the full-width loop did."""
+
+    @pytest.mark.parametrize("check_every", [1, 7])
+    @pytest.mark.parametrize("drift_kind", ["dense", "sparse_rows"])
+    @pytest.mark.parametrize("clamps", ["shared", "per_sample"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_divergence_raises_like_the_full_width_loop(
+        self, tmp_path, method, policy, clamps, drift_kind, check_every
+    ):
+        # Unrailed, with two free nodes unstable: they overflow first and
+        # their neighbours follow, so the guard counts part of the state.
+        config = _config(
+            method, policy, 0.0, None, divergence_check_every=check_every
+        )
+        h_ = H.copy()
+        h_[[7, 10]] = 1e9
+        new, old = _both(tmp_path, config, drift_kind, J, h_, *_clamps(clamps))
+        assert old[0][0] == "circuit" and old[2] == 1
+        assert new == old
+        assert [name for name, _ in new[1]] == ["circuit.divergence"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("drift_kind", ["dense", "sparse_rows"])
+    @pytest.mark.parametrize("clamps", ["shared", "per_sample"])
+    @pytest.mark.parametrize("policy", ["fixed", "early_exit"])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_non_finite_clamp_on_an_uncoupled_node(
+        self, tmp_path, method, policy, clamps, drift_kind, value
+    ):
+        """Node 3 is clamped to a non-finite value and couples to no other
+        node, so on the sparse drift every free value stays finite and the
+        guard counts the clamp alone.  With finite clamps every member
+        settles by step 70, before the guard's first check at step 90; a
+        member with the bad clamp must not, so the guard raises there as
+        the full-width loop did.  (Adaptive runs are left out: the
+        full-width loop's error estimate read the bad clamp's own
+        drift.)"""
+        config = _config(
+            method, policy, 0.0, 1.0, divergence_check_every=90
+        )
+        J_ = J.copy()
+        J_[ISOLATED, :] = 0.0
+        J_[:, ISOLATED] = 0.0
+        clamp_index, clamp_value = _clamps(clamps)
+        clamp_value = np.array(clamp_value)
+        if clamps == "shared":
+            clamp_value[list(clamp_index).index(ISOLATED)] = value
+        else:
+            clamp_value[2, list(clamp_index).index(ISOLATED)] = value
+        new, old = _both(
+            tmp_path, config, drift_kind, J_, H, clamp_index, clamp_value,
+            duration=5.0,
+        )
+        assert old[0][:2] == ("circuit", 90) and old[2] == 1
+        assert new == old
+        if drift_kind == "sparse_rows":
+            assert old[0][3] == (BATCH if clamps == "shared" else 1)
+
+    @pytest.mark.parametrize("drift_kind", ["dense", "sparse_rows"])
+    @pytest.mark.parametrize("clamps", ["none", "shared", "per_sample"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_energy_probe_events_match_the_full_width_loop(
+        self, tmp_path, method, policy, clamps, drift_kind
+    ):
+        config = _config(method, policy, 0.02, 1.0, energy_probe_every=4)
+        new, old = _both(tmp_path, config, drift_kind, J, H, *_clamps(clamps))
+        _assert_trajectory(new[0], old[0])
+        assert new[1] == old[1] and new[2] == old[2] == 0
+        probes = [name for name, _ in new[1]]
+        assert probes and set(probes) == {"circuit.energy_probe"}
+
